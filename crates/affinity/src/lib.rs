@@ -78,7 +78,7 @@
 //! | [`ql`] | `affinity-ql` | textual MEC/MET/MER query language + planner |
 //! | [`stream`] | `affinity-stream` | sliding windows, rolling stats, drift-driven delta refresh |
 //! | [`serve`] | `affinity-serve` | concurrent query service: epoch swaps, admission control, chaos hooks |
-//! | [`shard`] | `affinity-shard` | sharded model scale-out: cluster-cut plans, exact cross-shard merge, per-shard refresh |
+//! | [`shard`] | `affinity-shard` | sharded model scale-out: shard plans, partition of one global model, exact cross-shard merge |
 //! | [`coord`] | `affinity-coord` | distributed shard serving: coordinator routing, retry/backoff/breakers, failover re-heal, graceful degradation |
 //! | [`storage`] | `affinity-storage` | columnar binary store with checksums, LRU `CachedStore` |
 //! | [`linalg`] | `affinity-linalg` | QR, Jacobi eigen, power iteration |
@@ -116,7 +116,7 @@ pub mod prelude {
     pub use affinity_ql::Session;
     pub use affinity_query::{AffineExecutor, DftExecutor, NaiveExecutor};
     pub use affinity_scape::{ScapeIndex, ThresholdOp};
-    pub use affinity_shard::{ShardPlan, ShardedModel, ShardedStreamingEngine};
+    pub use affinity_shard::{ShardPlan, ShardedModel};
     pub use affinity_storage::{CachedStore, MatrixStore};
     pub use affinity_stream::{StreamingConfig, StreamingEngine};
 }

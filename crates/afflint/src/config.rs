@@ -36,7 +36,6 @@ const UNTRUSTED: &[&str] = &[
     "crates/coord/src/server.rs",
     "crates/core/src/persist.rs",
     "crates/scape/src/persist.rs",
-    "crates/shard/src/persist.rs",
     "crates/stream/src/persist.rs",
 ];
 
@@ -51,7 +50,6 @@ const READERS: &[&str] = &[
     "crates/storage/src/layout.rs",
     "crates/core/src/persist.rs",
     "crates/scape/src/persist.rs",
-    "crates/shard/src/persist.rs",
     "crates/stream/src/persist.rs",
 ];
 

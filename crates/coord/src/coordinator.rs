@@ -23,9 +23,10 @@ use crate::backend::{BackendError, ShardBackend};
 use crate::proto::{ShardRequest, ShardResponse, MAX_LIST};
 use crate::stats::CoordStats;
 use affinity_core::measures::{LocationMeasure, Measure, PairwiseMeasure};
+use affinity_core::mec::require_distinct;
 use affinity_data::{SequencePair, SeriesId};
 use affinity_linalg::Matrix;
-use affinity_ql::{parse, QlError, QueryOutput, Statement};
+use affinity_ql::{parse, series_labels, QlError, QueryOutput, Statement};
 use affinity_scape::ThresholdOp;
 use affinity_shard::{merge_keyed_series, splice_chunks, ShardPlan};
 use std::collections::BTreeMap;
@@ -208,17 +209,8 @@ impl Coordinator {
                 ))
             }
         };
-        let n = meta.series;
-        let labels = if labels.is_empty() {
-            (0..n).map(|v| format!("S{v}")).collect()
-        } else if labels.len() == n {
-            labels
-        } else {
-            return Err(CoordError::new(
-                "INTERNAL",
-                format!("{} labels for {n} series", labels.len()),
-            ));
-        };
+        let labels =
+            series_labels(labels, meta.series).map_err(|msg| CoordError::new("INTERNAL", msg))?;
         Ok(Coordinator {
             backends,
             labels,
@@ -813,18 +805,8 @@ impl Coordinator {
         ids: &[SeriesId],
         acct: &mut Acct,
     ) -> Result<(QueryOutput, Vec<usize>), CoordError> {
-        // The in-process model panics on duplicate ids (SequencePair
-        // needs distinct members); over the wire that must be a typed
-        // error instead.
-        let mut seen = ids.to_vec();
-        seen.sort_unstable();
-        seen.dedup();
-        if seen.len() != ids.len() {
-            return Err(CoordError::new(
-                "INTERNAL",
-                "engine error: MEC pairwise requires distinct series".to_string(),
-            ));
-        }
+        // Same typed rejection (code and text) as a local session.
+        require_distinct(ids).map_err(|e| CoordError::from_ql(&QlError::Engine(e.to_string())))?;
         let q = ids.len();
         let mut matrix = Matrix::zeros(q, q);
         // Diagonal: global normalizer tables, identical on every shard —

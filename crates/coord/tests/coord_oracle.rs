@@ -22,6 +22,7 @@ use affinity_data::generator::{sensor_dataset, SensorConfig};
 use affinity_data::DataMatrix;
 use affinity_par::ThreadPool;
 use affinity_ql::Session;
+use affinity_scape::ScapeIndex;
 use affinity_shard::{ShardPlan, ShardedModel};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -173,6 +174,27 @@ fn unknown_series_and_empty_range_errors_match_locally() {
             run_coord(&coord, stmt),
             "error text diverged on {stmt:?}"
         );
+    }
+}
+
+/// A pairwise MEC naming one series twice fails typed, with the same
+/// wire code and text from the coordinator as from a monolithic session.
+#[test]
+fn repeated_mec_series_fail_alike_in_monolith_and_coordinator() {
+    let data = dataset();
+    let affine = Symex::new(SymexParams::default())
+        .run(&data)
+        .expect("affine fit");
+    let index = ScapeIndex::build(&data, &affine, &Measure::EXTENDED).expect("index");
+    let monolith =
+        Session::from_parts(&data, &affine, index, Vec::new()).expect("monolithic session");
+    let model = sharded(&data, 2, &Measure::EXTENDED);
+    let (coord, _) = coordinator(&model, false);
+    for stmt in ["MEC correlation OF S1, S1", "MEC covariance OF S0, S5, S0"] {
+        let want = monolith.execute(stmt).expect_err("monolith must reject");
+        let got = coord.execute(stmt).expect_err("coordinator must reject");
+        assert_eq!(got.code, want.wire_code(), "wire code diverged on {stmt:?}");
+        assert_eq!(got.message, want.to_string(), "text diverged on {stmt:?}");
     }
 }
 

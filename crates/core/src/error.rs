@@ -43,6 +43,12 @@ pub enum CoreError {
         /// Second member of the pair.
         v: usize,
     },
+    /// A pairwise MEC request named the same series twice (a pair
+    /// needs two distinct members).
+    DuplicateSeries {
+        /// The repeated identifier.
+        id: usize,
+    },
     /// Invalid parameter value; carries a description.
     InvalidParameter(String),
 }
@@ -69,6 +75,9 @@ impl fmt::Display for CoreError {
             }
             CoreError::MissingRelationship { u, v } => {
                 write!(f, "no affine relationship stored for pair ({u}, {v})")
+            }
+            CoreError::DuplicateSeries { id } => {
+                write!(f, "MEC pairwise requires distinct series (id {id} repeats)")
             }
             CoreError::InvalidParameter(msg) => write!(f, "invalid parameter: {msg}"),
         }

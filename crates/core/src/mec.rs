@@ -68,6 +68,22 @@ type RawBatch = (Vec<[f64; 3]>, Vec<(u32, u32, u32)>);
 /// [`MecEngine::pairwise`] subset sweep.
 type SubsetGroup = (Vec<[f64; 3]>, Vec<(u32, u32)>);
 
+/// Reject a pairwise MEC request that names one series twice: every
+/// off-diagonal cell is a [`SequencePair`], which needs two distinct
+/// members. Shared by every pairwise front-end (the engine, the sharded
+/// merge layer, the coordinator) so they fail the same typed way.
+///
+/// # Errors
+/// [`CoreError::DuplicateSeries`] naming the smallest repeated id.
+pub fn require_distinct(ids: &[SeriesId]) -> Result<(), CoreError> {
+    let mut sorted = ids.to_vec();
+    sorted.sort_unstable();
+    match sorted.windows(2).find(|w| w[0] == w[1]) {
+        Some(w) => Err(CoreError::DuplicateSeries { id: w[0] }),
+        None => Ok(()),
+    }
+}
+
 /// MEC query engine answering measure computations through affine
 /// relationships.
 ///
@@ -520,12 +536,9 @@ impl<'a> MecEngine<'a> {
     ///
     /// # Errors
     /// [`CoreError::UnknownSeries`] for out-of-range identifiers,
+    /// [`CoreError::DuplicateSeries`] if an identifier repeats,
     /// [`CoreError::MissingRelationship`] if the affine set does not
     /// cover a requested pair (a partial set).
-    ///
-    /// # Panics
-    /// Panics if `ids` contains the same identifier twice
-    /// (`SequencePair` requires distinct members).
     pub fn pairwise(
         &self,
         measure: PairwiseMeasure,
@@ -535,6 +548,7 @@ impl<'a> MecEngine<'a> {
         if let Some(&bad) = ids.iter().find(|&&v| v >= n) {
             return Err(CoreError::UnknownSeries { id: bad, series: n });
         }
+        require_distinct(ids)?;
         let q = ids.len();
         let mut out = Matrix::zeros(q, q);
         for i in 0..q {

@@ -423,22 +423,6 @@ impl AffineSet {
     /// allocation), or dangling cross-references — corrupt input never
     /// panics and never round-trips silently wrong.
     pub fn from_bytes(bytes: &[u8]) -> Result<AffineSet, DecodeError> {
-        Self::decode(bytes, true)
-    }
-
-    /// Like [`AffineSet::from_bytes`], but for a *partition slice* of a
-    /// global model (a shard): the relationship list may be any subset
-    /// of the `n(n−1)/2` pairs — possibly empty — while every other
-    /// invariant (dedup, cross-references, truncation) is still
-    /// enforced.
-    ///
-    /// # Errors
-    /// [`DecodeError`] as for [`AffineSet::from_bytes`].
-    pub fn from_bytes_subset(bytes: &[u8]) -> Result<AffineSet, DecodeError> {
-        Self::decode(bytes, false)
-    }
-
-    fn decode(bytes: &[u8], require_complete: bool) -> Result<AffineSet, DecodeError> {
         let mut r = ByteReader::new(bytes);
         let version = r.u8()?;
         if version != AFFINE_CODEC_VERSION {
@@ -497,12 +481,9 @@ impl AffineSet {
 
         let total = n * (n - 1) / 2;
         let rel_count = r.checked_count(RELATIONSHIP_BYTES - 8, "relationship")?;
-        // A monolithic model carries every pair; a partition slice
-        // (shard) carries a subset, but never more than every pair.
-        if (require_complete && rel_count != total) || rel_count > total {
+        if rel_count != total {
             return Err(DecodeError::Corrupt(format!(
-                "{rel_count} relationships for {n} series (expected {}{total})",
-                if require_complete { "" } else { "<= " }
+                "{rel_count} relationships for {n} series (expected {total})"
             )));
         }
         // Duplicate detection by triangular rank: for u < v the pair

@@ -43,4 +43,4 @@ mod session;
 
 pub use cancel::{CancelCause, CancelToken};
 pub use parser::{parse, MeasureName, ParseError, Statement};
-pub use session::{QlError, QueryOutput, Session};
+pub use session::{series_labels, QlError, QueryOutput, Session};

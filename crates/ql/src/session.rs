@@ -74,6 +74,23 @@ impl From<ParseError> for QlError {
     }
 }
 
+/// Series labels for a model of `n` series: an empty list becomes the
+/// generated `S0..S{n-1}`, any other list must name exactly `n` series.
+/// The one rule every session constructor and the coordinator apply.
+///
+/// # Errors
+/// The bare message `"<given> labels for <n> series"` on a length
+/// mismatch; each caller wraps it in its own error type.
+pub fn series_labels(labels: Vec<String>, n: usize) -> Result<Vec<String>, String> {
+    if labels.is_empty() {
+        Ok((0..n).map(|v| format!("S{v}")).collect())
+    } else if labels.len() == n {
+        Ok(labels)
+    } else {
+        Err(format!("{} labels for {n} series", labels.len()))
+    }
+}
+
 /// Result of executing a statement.
 #[derive(Debug, Clone, PartialEq)]
 pub enum QueryOutput {
@@ -247,20 +264,8 @@ impl<'a> Session<'a> {
     /// [`QlError::Engine`] when `labels` is non-empty but does not
     /// match the model's series count.
     pub fn from_sharded(model: &'a ShardedModel, labels: Vec<String>) -> Result<Self, QlError> {
-        let n = model.series_count();
-        let labels = if labels.is_empty() {
-            (0..n).map(|v| format!("S{v}")).collect()
-        } else if labels.len() == n {
-            labels
-        } else {
-            return Err(QlError::Engine(format!(
-                "{} labels for {} series",
-                labels.len(),
-                n
-            )));
-        };
         Ok(Session {
-            labels,
+            labels: series_labels(labels, model.series_count()).map_err(QlError::Engine)?,
             backend: Backend::Sharded(model),
         })
     }
@@ -280,20 +285,8 @@ impl<'a> Session<'a> {
     /// [`QlError::Engine`] when `labels` is non-empty but does not
     /// match the model's series count.
     pub fn open_snapshot(model: &'a PersistedModel, labels: Vec<String>) -> Result<Self, QlError> {
-        let n = model.affine.series_count();
-        let labels = if labels.is_empty() {
-            (0..n).map(|v| format!("S{v}")).collect()
-        } else if labels.len() == n {
-            labels
-        } else {
-            return Err(QlError::Engine(format!(
-                "{} labels for {} series",
-                labels.len(),
-                n
-            )));
-        };
         Ok(Session {
-            labels,
+            labels: series_labels(labels, model.affine.series_count()).map_err(QlError::Engine)?,
             backend: Backend::Global {
                 engine: MecEngine::new(&model.data, &model.affine),
                 index: Box::new(model.index.clone()),
@@ -319,20 +312,8 @@ impl<'a> Session<'a> {
         index: ScapeIndex,
         labels: Vec<String>,
     ) -> Result<Self, QlError> {
-        let n = affine.series_count();
-        let labels = if labels.is_empty() {
-            (0..n).map(|v| format!("S{v}")).collect()
-        } else if labels.len() == n {
-            labels
-        } else {
-            return Err(QlError::Engine(format!(
-                "{} labels for {} series",
-                labels.len(),
-                n
-            )));
-        };
         Ok(Session {
-            labels,
+            labels: series_labels(labels, affine.series_count()).map_err(QlError::Engine)?,
             backend: Backend::Global {
                 engine: MecEngine::new(data, affine),
                 index: Box::new(index),
@@ -950,6 +931,35 @@ mod tests {
         assert!(Session::from_sharded(&model, vec!["x".into()]).is_err());
         let anon = Session::from_sharded(&model, Vec::new()).unwrap();
         assert!(anon.execute("MEC mean OF S0").is_ok());
+    }
+
+    #[test]
+    fn mec_pairwise_rejects_repeated_series() {
+        let (data, affine) = fixture();
+        let global = Session::new(&data, &affine, &Measure::ALL).unwrap();
+        let model =
+            affinity_shard::ShardedModel::build(&data, &SymexParams::default(), 3, &Measure::ALL)
+                .unwrap();
+        let sharded = Session::from_sharded(&model, data.labels().to_vec()).unwrap();
+        // Scalar path, and a request large enough for the batched path.
+        let batched = format!(
+            "MEC dot OF {}, 0",
+            (0..data.series_count())
+                .map(|v| v.to_string())
+                .collect::<Vec<_>>()
+                .join(", ")
+        );
+        for s in [&global, &sharded] {
+            for q in [
+                "MEC correlation OF 1, 1",
+                "MEC covariance OF STK0 STK2 STK0",
+            ] {
+                let e = s.execute(q).unwrap_err();
+                assert_eq!(e.wire_code(), "INTERNAL", "{q}");
+                assert!(e.to_string().contains("distinct series"), "{q}: {e}");
+            }
+            assert!(s.execute(&batched).is_err());
+        }
     }
 
     #[test]

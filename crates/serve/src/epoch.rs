@@ -45,10 +45,8 @@ pub struct ModelEpoch {
 enum EpochModel {
     /// Monolithic epoch: the session borrows the affine set.
     Global(Arc<AffineSet>),
-    /// Sharded epoch: the session borrows the merge layer. The shard
-    /// `Arc`s inside are shared with the streaming engine, so an epoch
-    /// republishes only the shards that actually changed — untouched
-    /// shards keep their identity across epochs.
+    /// Sharded epoch: the session borrows the merge layer, re-cut from
+    /// the global model for every publication.
     Sharded(Arc<ShardedModel>),
 }
 
@@ -99,12 +97,9 @@ impl ModelEpoch {
         }))
     }
 
-    /// Freeze a sharded model into an epoch. The `Arc<ShardedModel>` is
-    /// typically a cheap clone of a sharded streaming engine's current
-    /// model: the shard `Arc`s inside are shared, so consecutive epochs
-    /// after a delta refresh republish **only** the shards that were
-    /// rebuilt ([`shard_versions`](ModelEpoch::shard_versions) exposes
-    /// the per-shard identities for the ledger tests).
+    /// Freeze a sharded model into an epoch. A shard server builds
+    /// `model` with `ShardedModel::from_global` from the streaming
+    /// engine's current global model, once per refresh.
     ///
     /// `labels` may be empty to auto-generate `S0..S{n-1}`.
     ///
@@ -203,18 +198,13 @@ impl ModelEpoch {
         }
     }
 
-    /// The sharded model behind this epoch, when there is one — lets
-    /// publication tests assert per-shard `Arc` identity across epochs.
+    /// The sharded model behind this epoch, when there is one (shard
+    /// servers answer coordinator requests from it).
     pub fn sharded(&self) -> Option<&ShardedModel> {
         match &self.model {
             EpochModel::Global(_) => None,
             EpochModel::Sharded(model) => Some(model),
         }
-    }
-
-    /// Per-shard refresh versions (sharded epochs only).
-    pub fn shard_versions(&self) -> Option<Vec<u64>> {
-        self.sharded().map(ShardedModel::versions)
     }
 
     /// Mark this epoch as poisoned: every subsequent [`execute`]

@@ -440,14 +440,7 @@ impl Server {
                 format!("OK {} {}\n{text}", req.id, text.lines().count())
             }
             Ok(Err(e)) => {
-                let code = match &e {
-                    QlError::Parse(_) => "PARSE",
-                    QlError::UnknownSeries(_) => "UNKNOWN",
-                    QlError::EmptyRange { .. } => "RANGE",
-                    QlError::Cancelled => "CANCELLED",
-                    QlError::DeadlineExceeded => "DEADLINE",
-                    QlError::Engine(_) => "INTERNAL",
-                };
+                let code = e.wire_code();
                 if matches!(e, QlError::DeadlineExceeded) {
                     ServeStats::bump(&self.stats.done_deadline);
                 } else {

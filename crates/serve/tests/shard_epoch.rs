@@ -1,18 +1,18 @@
-//! Per-shard epoch swaps under concurrency.
+//! Sharded epoch swaps under concurrency.
 //!
-//! A sharded refresh replaces only the shards that drifted; publishing
-//! the refreshed model as a new [`ModelEpoch`] must therefore *share*
-//! the untouched shards (`Arc` identity) with the previous epoch — one
-//! shard's refresh never republishes the others. Racing readers pin an
-//! epoch and must always see an internally consistent cross-shard
-//! answer: the epoch's session output equals a session built fresh from
-//! the very shard set the epoch holds, bit-for-bit, and the epoch
-//! ledger stays balanced.
+//! A shard server refreshes its global model with a [`StreamingEngine`]
+//! and re-cuts it with [`ShardedModel::from_global`] for every epoch it
+//! publishes. Racing readers pin an epoch and must always see an
+//! internally consistent cross-shard answer: the epoch's session output
+//! equals a session built fresh from the very shard set the epoch
+//! holds, bit-for-bit, and the epoch ledger stays balanced.
 
+use affinity_core::measures::Measure;
+use affinity_par::ThreadPool;
 use affinity_ql::{CancelToken, Session};
 use affinity_serve::{EpochCell, ModelEpoch};
-use affinity_shard::ShardedStreamingEngine;
-use affinity_stream::StreamingConfig;
+use affinity_shard::{ShardPlan, ShardedModel};
+use affinity_stream::{StreamingConfig, StreamingEngine};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -28,7 +28,7 @@ const QUERIES: &[&str] = &[
 ];
 
 /// Period-`WIDTH` deterministic tick (window stats are tick-invariant
-/// until a step is injected), as in the shard crate's own tests.
+/// until a step is injected).
 fn tick(t: u64, stepped: &[usize], step: f64) -> Vec<f64> {
     (0..N)
         .map(|v| {
@@ -43,8 +43,8 @@ fn tick(t: u64, stepped: &[usize], step: f64) -> Vec<f64> {
         .collect()
 }
 
-fn warm_engine() -> (ShardedStreamingEngine, u64) {
-    let mut engine = ShardedStreamingEngine::new(N, 3, StreamingConfig::new(WIDTH));
+fn warm_engine() -> (StreamingEngine, u64) {
+    let mut engine = StreamingEngine::new(N, StreamingConfig::new(WIDTH));
     let mut t = 0u64;
     while engine.model().is_none() {
         engine.push(&tick(t, &[], 0.0)).unwrap();
@@ -53,74 +53,27 @@ fn warm_engine() -> (ShardedStreamingEngine, u64) {
     (engine, t)
 }
 
-fn publish_current(
-    cell: &EpochCell,
-    engine: &ShardedStreamingEngine,
+/// Freeze the engine's current global model the way a shard server
+/// does: re-cut it along the shape-derived 3-shard plan, then publish
+/// the sharded model as one epoch.
+fn sharded_epoch(
+    engine: &StreamingEngine,
+    pool: &Arc<ThreadPool>,
     epoch_id: u64,
 ) -> Arc<ModelEpoch> {
-    let model = Arc::new(engine.model().unwrap().clone());
-    let epoch = ModelEpoch::from_sharded(model, Vec::new(), epoch_id, 0).unwrap();
-    cell.publish(Arc::clone(&epoch));
-    epoch
+    let model = engine.model().unwrap();
+    let sharded = ShardedModel::from_global(
+        model.data(),
+        model.affine(),
+        ShardPlan::blocked(N, 3),
+        &Measure::EXTENDED,
+        Arc::clone(pool),
+    )
+    .unwrap();
+    ModelEpoch::from_sharded(Arc::new(sharded), Vec::new(), epoch_id, model.built_at).unwrap()
 }
 
-/// Untouched shards must keep their `Arc` across epochs: a publication
-/// after a delta refresh re-shares every shard the refresh skipped.
-#[test]
-fn epochs_share_untouched_shards_across_publications() {
-    let (mut engine, mut t) = warm_engine();
-    let cell = EpochCell::new(
-        ModelEpoch::from_sharded(Arc::new(engine.model().unwrap().clone()), Vec::new(), 0, 0)
-            .unwrap(),
-    );
-
-    // Drift two series, then drain for two cadences: the step stays in
-    // the sliding window for one full cadence after it stops, so the
-    // *second* drain refresh sees zero drift and must republish
-    // nothing. Publish after every refresh and compare neighbors.
-    let schedule: &[&[usize]] = &[&[0, 1], &[], &[], &[2, 3], &[], &[]];
-    let mut prev = cell.current();
-    let mut shared_total = 0usize;
-    let mut replaced_total = 0usize;
-    let mut epoch_id = 0u64;
-    for stepped in schedule {
-        let was = engine.refreshes();
-        while engine.refreshes() == was {
-            engine.push(&tick(t, stepped, 35.0)).unwrap();
-            t += 1;
-        }
-        epoch_id += 1;
-        let epoch = publish_current(&cell, &engine, epoch_id);
-        assert_eq!(epoch.epoch_id(), epoch_id);
-        let a = prev.sharded().unwrap();
-        let b = epoch.sharded().unwrap();
-        let (va, vb) = (a.versions(), b.versions());
-        for i in 0..a.shards().len() {
-            assert!(vb[i] >= va[i], "shard {i} version regressed");
-            if vb[i] == va[i] {
-                assert!(
-                    Arc::ptr_eq(&a.shards()[i], &b.shards()[i]),
-                    "untouched shard {i} was republished at epoch {epoch_id}"
-                );
-                shared_total += 1;
-            } else {
-                assert!(
-                    !Arc::ptr_eq(&a.shards()[i], &b.shards()[i]),
-                    "shard {i} bumped its version but kept its Arc"
-                );
-                replaced_total += 1;
-            }
-        }
-        prev = epoch;
-    }
-    // The drift pattern must actually have exercised both arms.
-    assert!(replaced_total > 0, "no shard was ever refreshed");
-    assert!(shared_total > 0, "no shard was ever structurally shared");
-    // `published` counts the initial epoch plus one per schedule entry.
-    assert_eq!(cell.published(), schedule.len() as u64 + 1);
-}
-
-/// Readers racing per-shard refreshes: every pinned epoch answers
+/// Readers racing sharded publications: every pinned epoch answers
 /// exactly like a session built directly from that epoch's shard set —
 /// no torn cross-shard state — and epoch ids are monotone per reader.
 #[test]
@@ -128,11 +81,9 @@ fn refresh_race_yields_no_torn_cross_shard_answers() {
     const PUBLICATIONS: u64 = 6;
     const READERS: usize = 4;
 
+    let pool = Arc::new(ThreadPool::new(1));
     let (engine, t0) = warm_engine();
-    let cell = Arc::new(EpochCell::new(
-        ModelEpoch::from_sharded(Arc::new(engine.model().unwrap().clone()), Vec::new(), 0, 0)
-            .unwrap(),
-    ));
+    let cell = Arc::new(EpochCell::new(sharded_epoch(&engine, &pool, 0)));
     let done = Arc::new(AtomicBool::new(false));
     let observations = Arc::new(AtomicU64::new(0));
 
@@ -175,7 +126,7 @@ fn refresh_race_yields_no_torn_cross_shard_answers() {
             engine.push(&tick(t, &stepped, 35.0)).unwrap();
             t += 1;
         }
-        publish_current(&cell, &engine, epoch_id);
+        cell.publish(sharded_epoch(&engine, &pool, epoch_id));
     }
     done.store(true, Ordering::Release);
     for r in readers {

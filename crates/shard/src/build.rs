@@ -5,9 +5,9 @@
 //! (by SYMEX, exactly as the unsharded path does) and then split —
 //! every β vector, pivot, and series fit is carried into its owning
 //! shard unchanged. Per-shard work (pivot statistics, tree assembly)
-//! streams through a [`ShardView`] of the caller's [`SeriesSource`], so
-//! an out-of-core backing (on-disk store, bounded cache) shards exactly
-//! like a resident matrix and produces bit-identical models.
+//! streams through the caller's [`SeriesSource`], so an out-of-core
+//! backing (on-disk store, bounded cache) shards exactly like a
+//! resident matrix and produces bit-identical models.
 
 use crate::error::ShardError;
 use crate::model::{ShardModel, ShardedModel, SharedCore};
@@ -16,56 +16,10 @@ use affinity_core::affine::PivotStats;
 use affinity_core::measures::Measure;
 use affinity_core::symex::{AffineSet, Symex, SymexParams};
 use affinity_data::source::{prefetch_window, scan_sequence, with_column_buffers};
-use affinity_data::{SeriesId, SeriesSource, SourceError};
+use affinity_data::SeriesSource;
 use affinity_linalg::vector;
 use affinity_par::ThreadPool;
 use std::sync::Arc;
-
-/// One shard's window onto a shared [`SeriesSource`]: delegates every
-/// fetch to the backing source unchanged, so per-shard build stages
-/// compose with whatever caching / prefetching the backing provides
-/// (each shard's column sequence is announced through its own view,
-/// keeping the prefetch windows of different shards independent).
-pub struct ShardView<'a, S: SeriesSource + ?Sized> {
-    source: &'a S,
-}
-
-impl<'a, S: SeriesSource + ?Sized> ShardView<'a, S> {
-    /// Wrap `source` for one shard's build stages.
-    pub fn new(source: &'a S) -> Self {
-        ShardView { source }
-    }
-}
-
-impl<S: SeriesSource + ?Sized> SeriesSource for ShardView<'_, S> {
-    fn samples(&self) -> usize {
-        self.source.samples()
-    }
-
-    fn series_count(&self) -> usize {
-        self.source.series_count()
-    }
-
-    fn read_into<'a>(
-        &'a self,
-        v: SeriesId,
-        buf: &'a mut Vec<f64>,
-    ) -> Result<&'a [f64], SourceError> {
-        self.source.read_into(v, buf)
-    }
-
-    fn pin(&self, v: SeriesId) {
-        self.source.pin(v);
-    }
-
-    fn prefetch(&self, ids: &[u32]) {
-        self.source.prefetch(ids);
-    }
-
-    fn unpin(&self, v: SeriesId) {
-        self.source.unpin(v);
-    }
-}
 
 /// Global pivot ordinals per shard: entry `s` lists, in that shard's
 /// local pivot order, the position each pivot holds in the global
@@ -85,9 +39,8 @@ impl ShardedModel {
     /// The shards are partitions of `affine` — fits are never redone —
     /// so every query the merge layer answers is bit-identical to the
     /// unsharded model, for any plan and shard count. Raw data is read
-    /// only for pivot statistics (per shard, through its own
-    /// [`ShardView`]) and the global normalizer tables (once); `source`
-    /// can be resident or out-of-core.
+    /// only for pivot statistics (per shard) and the global normalizer
+    /// tables (once); `source` can be resident or out-of-core.
     ///
     /// # Errors
     /// [`ShardError::Plan`] when plan, affine set, and source shapes
@@ -144,11 +97,11 @@ impl ShardedModel {
 
         // Shards are built one after another; *within* each shard the
         // pivot statistics fan out across the shared pool's lanes, each
-        // lane streaming through the shard's view of the source.
+        // lane streaming columns from the source.
         let mut shards = Vec::with_capacity(k);
         for (i, (part, ords)) in parts.into_iter().zip(ordinals).enumerate() {
             let shard = build_shard(
-                source, part, ords, &plan, i, indexed, &variances, &self_dots, &pool, 0,
+                source, part, ords, &plan, i, indexed, &variances, &self_dots, &pool,
             )?;
             shards.push(Arc::new(shard));
         }
@@ -160,7 +113,6 @@ impl ShardedModel {
                 indexed: indexed.to_vec(),
                 variances,
                 self_dots,
-                pool,
             },
             shards,
         })
@@ -186,11 +138,11 @@ impl ShardedModel {
     }
 }
 
-/// Build one shard from its partition: per-pivot statistics through the
-/// shard's source view, a masked index, and an engine over the shared
-/// normalizer tables.
+/// Build one shard from its partition: per-pivot statistics read
+/// straight from `source` (fanned out over the shared pool), a masked
+/// index, and an engine over the shared normalizer tables.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn build_shard<S: SeriesSource + ?Sized>(
+fn build_shard<S: SeriesSource + ?Sized>(
     source: &S,
     part: AffineSet,
     ordinals: Vec<u32>,
@@ -200,10 +152,20 @@ pub(crate) fn build_shard<S: SeriesSource + ?Sized>(
     variances: &Arc<Vec<f64>>,
     self_dots: &Arc<Vec<f64>>,
     pool: &Arc<ThreadPool>,
-    version: u64,
 ) -> Result<ShardModel, ShardError> {
-    let view = ShardView::new(source);
-    let stats = shard_pivot_stats(&view, &part, pool)?;
+    let clusters = part.clusters();
+    let commons: Vec<u32> = part.pivots().iter().map(|p| p.common as u32).collect();
+    let stats: Vec<PivotStats> = pool
+        .parallel_map(part.pivots().len(), |q| {
+            with_column_buffers(|buf, _| {
+                let p = part.pivots()[q];
+                prefetch_window(source, &commons, q);
+                let common = source.read_into(p.common, buf)?;
+                Ok(PivotStats::compute(common, clusters.center(p.cluster)))
+            })
+        })
+        .into_iter()
+        .collect::<Result<_, ShardError>>()?;
     let mask = plan.owned_mask(shard);
     let index = affinity_scape::ScapeIndex::build_from_stats(
         &part,
@@ -218,33 +180,11 @@ pub(crate) fn build_shard<S: SeriesSource + ?Sized>(
     ShardModel::assemble(
         part,
         index,
-        stats,
+        &stats,
         ordinals,
         owned,
         variances,
         self_dots,
         Arc::clone(pool),
-        version,
     )
-}
-
-/// Pivot statistics for one shard's pivots, aligned with
-/// `part.pivots()`, fanned out over the shared pool.
-pub(crate) fn shard_pivot_stats<S: SeriesSource + ?Sized>(
-    view: &ShardView<'_, S>,
-    part: &AffineSet,
-    pool: &ThreadPool,
-) -> Result<Vec<PivotStats>, ShardError> {
-    let clusters = part.clusters();
-    let commons: Vec<u32> = part.pivots().iter().map(|p| p.common as u32).collect();
-    pool.parallel_map(part.pivots().len(), |q| {
-        with_column_buffers(|buf, _| {
-            let p = part.pivots()[q];
-            prefetch_window(view, &commons, q);
-            let common = view.read_into(p.common, buf)?;
-            Ok(PivotStats::compute(common, clusters.center(p.cluster)))
-        })
-    })
-    .into_iter()
-    .collect::<Result<_, ShardError>>()
 }

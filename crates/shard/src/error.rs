@@ -1,26 +1,16 @@
-//! Typed errors for shard planning, builds, refresh, and persistence.
+//! Typed errors for shard planning and builds.
 
 use affinity_core::error::CoreError;
-use affinity_core::persist::DecodeError;
 use affinity_data::SourceError;
-use affinity_scape::ScapeError;
-use affinity_storage::PersistError;
 use std::fmt;
 
-/// Errors raised by sharded model construction, refresh, and recovery.
+/// Errors raised by shard planning and sharded model construction.
 #[derive(Debug)]
 pub enum ShardError {
     /// Clustering / relationship / MEC engine construction failed.
     Core(CoreError),
-    /// Index construction or query processing failed.
-    Scape(ScapeError),
     /// A column fetch failed while streaming through a `SeriesSource`.
     Source(SourceError),
-    /// Snapshot I/O or validation failed (atomic-commit protocol,
-    /// CRC framing, injected faults).
-    Persist(PersistError),
-    /// Persisted shard bytes failed structural decoding.
-    Decode(DecodeError),
     /// A shard plan is inconsistent (bad shard id, shape mismatch).
     Plan(String),
 }
@@ -29,10 +19,7 @@ impl fmt::Display for ShardError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ShardError::Core(e) => write!(f, "shard model construction failed: {e}"),
-            ShardError::Scape(e) => write!(f, "shard index failed: {e}"),
             ShardError::Source(e) => write!(f, "shard column fetch failed: {e}"),
-            ShardError::Persist(e) => write!(f, "shard persistence failed: {e}"),
-            ShardError::Decode(e) => write!(f, "persisted shard corrupt: {e}"),
             ShardError::Plan(msg) => write!(f, "invalid shard plan: {msg}"),
         }
     }
@@ -42,10 +29,7 @@ impl std::error::Error for ShardError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ShardError::Core(e) => Some(e),
-            ShardError::Scape(e) => Some(e),
             ShardError::Source(e) => Some(e),
-            ShardError::Persist(e) => Some(e),
-            ShardError::Decode(e) => Some(e),
             ShardError::Plan(_) => None,
         }
     }
@@ -57,26 +41,8 @@ impl From<CoreError> for ShardError {
     }
 }
 
-impl From<ScapeError> for ShardError {
-    fn from(e: ScapeError) -> Self {
-        ShardError::Scape(e)
-    }
-}
-
 impl From<SourceError> for ShardError {
     fn from(e: SourceError) -> Self {
         ShardError::Source(e)
-    }
-}
-
-impl From<PersistError> for ShardError {
-    fn from(e: PersistError) -> Self {
-        ShardError::Persist(e)
-    }
-}
-
-impl From<DecodeError> for ShardError {
-    fn from(e: DecodeError) -> Self {
-        ShardError::Decode(e)
     }
 }

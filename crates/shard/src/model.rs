@@ -21,9 +21,7 @@
 //! * **Counts**: per-shard subtree counts sum exactly (disjoint
 //!   support).
 //! * **MEC**: pair values route to the owning shard's engine; location
-//!   values route to the series' owner (each shard's series-fit table
-//!   is authoritative only for its own series once delta refreshes
-//!   diverge the shards).
+//!   values route to the series' owner.
 
 use crate::error::ShardError;
 use crate::plan::ShardPlan;
@@ -31,7 +29,7 @@ use affinity_core::affine::{PivotPair, PivotStats};
 use affinity_core::error::CoreError;
 use affinity_core::hash::FxHashMap;
 use affinity_core::measures::{LocationMeasure, Measure, PairwiseMeasure};
-use affinity_core::mec::MecEngine;
+use affinity_core::mec::{require_distinct, MecEngine};
 use affinity_core::symex::AffineSet;
 use affinity_data::{SequencePair, SeriesId};
 use affinity_linalg::Matrix;
@@ -46,8 +44,8 @@ fn pair_rank(n: usize, u: usize, v: usize) -> usize {
     u * n - u * (u + 1) / 2 + (v - u - 1)
 }
 
-/// Model-wide state shared by every shard: the plan, the marginal
-/// normalizer tables, and the worker pool. Deliberately holds **no**
+/// Model-wide state shared by every shard: the plan and the marginal
+/// normalizer tables. Deliberately holds **no**
 /// reference data matrix — a pure query model (including one built
 /// out-of-core) never materializes the data.
 #[derive(Clone)]
@@ -60,12 +58,10 @@ pub(crate) struct SharedCore {
     pub(crate) variances: Arc<Vec<f64>>,
     /// Per-series self dot products over the reference data.
     pub(crate) self_dots: Arc<Vec<f64>>,
-    pub(crate) pool: Arc<ThreadPool>,
 }
 
 /// One shard: a partition of the global affine set with its own MEC
-/// engine and SCAPE index. Immutable after construction; a refresh
-/// replaces the whole `Arc<ShardModel>`, never mutates one in place.
+/// engine and SCAPE index. Immutable after construction.
 pub struct ShardModel {
     /// Declared first so it drops before the `Arc` it borrows from.
     ///
@@ -79,19 +75,11 @@ pub struct ShardModel {
     /// Keeps the engine's borrow target alive; never swapped.
     pub(crate) affine: Arc<AffineSet>,
     pub(crate) index: ScapeIndex,
-    /// Pivot statistics aligned with `affine.pivots()`, retained so a
-    /// delta refresh can rebuild the engine without re-reading data
-    /// (delta refreshes keep the reference anchor, hence the stats).
-    pub(crate) stats: Vec<PivotStats>,
     /// Global pivot ordinal of each local pivot (same order as
     /// `affine.pivots()`): the merge key for pair queries.
     pub(crate) ordinals: Vec<u32>,
     /// Series owned by this shard, ascending.
     pub(crate) owned: Vec<u32>,
-    /// Per-shard refresh version: bumped every time this shard is
-    /// rebuilt or delta-patched; untouched shards keep both their
-    /// version and their `Arc` identity.
-    pub(crate) version: u64,
 }
 
 // Compile-time proof the forged-'static engine still crosses threads
@@ -107,7 +95,6 @@ impl std::fmt::Debug for ShardModel {
             .field("pivots", &self.affine.pivots().len())
             .field("relationships", &self.affine.len())
             .field("owned", &self.owned.len())
-            .field("version", &self.version)
             .finish()
     }
 }
@@ -116,17 +103,16 @@ impl ShardModel {
     /// Assemble a shard from its partitioned affine set and
     /// already-built index. `stats` must align with `affine.pivots()`;
     /// `variances`/`self_dots` are the full-length global tables.
-    #[allow(clippy::too_many_arguments)] // crate-internal constructor: the parts are produced together by partition/refresh
+    #[allow(clippy::too_many_arguments)] // crate-internal constructor: the parts are produced together by the partitioned build
     pub(crate) fn assemble(
         affine: AffineSet,
         index: ScapeIndex,
-        stats: Vec<PivotStats>,
+        stats: &[PivotStats],
         ordinals: Vec<u32>,
         owned: Vec<u32>,
         variances: &[f64],
         self_dots: &[f64],
         pool: Arc<ThreadPool>,
-        version: u64,
     ) -> Result<ShardModel, ShardError> {
         let affine = Arc::new(affine);
         // SAFETY: see the `engine` field docs — the borrow target is
@@ -134,7 +120,7 @@ impl ShardModel {
         // order and is never mutated or replaced.
         let affine_ref: &'static AffineSet = unsafe { &*Arc::as_ptr(&affine) };
         let mut stat_map: FxHashMap<PivotPair, PivotStats> = FxHashMap::default();
-        for (p, s) in affine_ref.pivots().iter().zip(&stats) {
+        for (p, s) in affine_ref.pivots().iter().zip(stats) {
             stat_map.insert(*p, *s);
         }
         let engine = MecEngine::from_parts(
@@ -148,10 +134,8 @@ impl ShardModel {
             engine,
             affine,
             index,
-            stats,
             ordinals,
             owned,
-            version,
         })
     }
 
@@ -174,11 +158,6 @@ impl ShardModel {
     /// Global pivot ordinals of this shard's pivots, in local order.
     pub fn ordinals(&self) -> &[u32] {
         &self.ordinals
-    }
-
-    /// Per-shard refresh version (see the field docs).
-    pub fn version(&self) -> u64 {
-        self.version
     }
 
     /// A pairwise measure for one pair held by *this* shard's engine.
@@ -215,9 +194,7 @@ impl ShardModel {
 /// The cross-shard merge layer: answers every MEC/MET/MER/count query
 /// bit-identically to the unsharded model it was partitioned from.
 ///
-/// Cloning is cheap — the shards themselves are shared by `Arc`, so a
-/// clone freezes the current shard set (e.g. into a serving epoch)
-/// while the streaming side keeps swapping individual shards.
+/// Cloning is cheap — the shards themselves are shared by `Arc`.
 #[derive(Clone)]
 pub struct ShardedModel {
     pub(crate) shared: SharedCore,
@@ -255,15 +232,9 @@ impl ShardedModel {
         &self.shared.indexed
     }
 
-    /// The shards, in plan order. Exposed so tests can assert
-    /// structural sharing (`Arc::ptr_eq`) across refreshes.
+    /// The shards, in plan order.
     pub fn shards(&self) -> &[Arc<ShardModel>] {
         &self.shards
-    }
-
-    /// Per-shard refresh versions, in plan order.
-    pub fn versions(&self) -> Vec<u64> {
-        self.shards.iter().map(|s| s.version).collect()
     }
 
     /// `true` if the given measure can be queried (every shard indexes
@@ -465,9 +436,7 @@ impl ShardedModel {
         })
     }
 
-    /// A location measure for one series, via its owner's engine (each
-    /// shard's series-fit table is authoritative only for its own
-    /// series once delta refreshes diverge the shards).
+    /// A location measure for one series, via its owner's engine.
     ///
     /// # Errors
     /// [`CoreError::UnknownSeries`] for out-of-range identifiers.
@@ -503,11 +472,8 @@ impl ShardedModel {
     ///
     /// # Errors
     /// [`CoreError::UnknownSeries`] for out-of-range identifiers,
+    /// [`CoreError::DuplicateSeries`] if an identifier repeats,
     /// [`CoreError::MissingRelationship`] for uncovered pairs.
-    ///
-    /// # Panics
-    /// Panics if `ids` contains the same identifier twice
-    /// (`SequencePair` requires distinct members).
     pub fn pairwise(
         &self,
         measure: PairwiseMeasure,
@@ -517,6 +483,7 @@ impl ShardedModel {
         if let Some(&bad) = ids.iter().find(|&&v| v >= n) {
             return Err(CoreError::UnknownSeries { id: bad, series: n });
         }
+        require_distinct(ids)?;
         let q = ids.len();
         let mut out = Matrix::zeros(q, q);
         for (i, &id) in ids.iter().enumerate() {

@@ -1,13 +1,12 @@
 //! Shard plans: an explicit series → shard map cut along AFCLST
 //! cluster boundaries.
 //!
-//! A plan is chosen once (at the first full build) and then held fixed:
-//! every refresh partitions the *same* series the same way, which is
-//! what makes "only drifted shards rebuild" meaningful and keeps the
-//! persisted map authoritative across restarts. Cutting along cluster
-//! boundaries keeps each pivot group — a pivot's common series and all
-//! its member pairs — inside one shard, so the cross-shard merge never
-//! has to split a pivot's B+ tree.
+//! Cutting along cluster boundaries keeps each pivot group — a pivot's
+//! common series and all its member pairs — inside one shard, so the
+//! cross-shard merge never has to split a pivot's B+ tree. Serving
+//! fleets instead use [`ShardPlan::blocked`], which every process
+//! derives from the shape alone, so the same series stay in the same
+//! shard across refreshes and restarts.
 
 use crate::error::ShardError;
 use affinity_core::afclst::ClusterModel;
@@ -95,8 +94,8 @@ impl ShardPlan {
         }
     }
 
-    /// Adopt an explicit assignment map (e.g. a persisted plan, or an
-    /// adversarial cut in the equivalence oracle).
+    /// Adopt an explicit assignment map (e.g. the plan a shard reports
+    /// in its metadata, or an adversarial cut in the equivalence oracle).
     ///
     /// # Errors
     /// [`ShardError::Plan`] if `shards` is zero or an assignment is out

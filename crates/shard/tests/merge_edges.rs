@@ -1,21 +1,16 @@
-//! Cross-shard merge edge cases and refresh structural sharing.
+//! Cross-shard merge edge cases.
 //!
 //! The equivalence oracle (`tests/shard_equivalence.rs` at the
 //! workspace root) sweeps randomized plans; this suite pins the
 //! degenerate shapes by hand — empty shards, a single-series shard,
-//! everything in one shard of many — and proves the streaming engine's
-//! per-shard refresh contract: a delta refresh replaces exactly the
-//! shards holding drifted work (`Arc` identity for the rest), and a
-//! K-shard streaming engine answers bit-identically to a 1-shard one
-//! over the same tick stream.
+//! everything in one shard of many.
 
 use affinity_core::prelude::*;
 use affinity_data::generator::{sensor_dataset, SensorConfig};
 use affinity_data::{DataMatrix, SeriesId};
 use affinity_par::ThreadPool;
 use affinity_scape::{ScapeIndex, ThresholdOp};
-use affinity_shard::{ShardPlan, ShardedModel, ShardedStreamingEngine};
-use affinity_stream::StreamingConfig;
+use affinity_shard::{ShardPlan, ShardedModel};
 use std::sync::Arc;
 
 fn assert_bits_eq(a: &[f64], b: &[f64], what: &str) {
@@ -128,157 +123,4 @@ fn one_shard_per_series_merges_exactly() {
     let model = partition(&data, &affine, plan);
     assert_eq!(model.shards().len(), n);
     assert_matches_global("one-per-series", &engine, &index, &model);
-}
-
-/// Deterministic tick: a fixed period-`width` pattern per series, so a
-/// full window always holds one exact period and in-window statistics
-/// are tick-invariant (zero drift) until an offset step is injected.
-fn tick(n: usize, width: usize, t: u64, stepped: &[SeriesId], step: f64) -> Vec<f64> {
-    (0..n)
-        .map(|v| {
-            let phase = (t as usize + 3 * v) % width;
-            let base = (phase * phase % 23) as f64 + v as f64;
-            if stepped.contains(&v) {
-                base + step
-            } else {
-                base
-            }
-        })
-        .collect()
-}
-
-#[test]
-fn delta_refresh_touches_only_owning_shards() {
-    let n = 12;
-    let width = 16;
-    let cfg = StreamingConfig::new(width);
-    let mut engine = ShardedStreamingEngine::new(n, 3, cfg);
-    let mut t = 0u64;
-    // Warm-up + first full build.
-    while engine.model().is_none() {
-        engine.push(&tick(n, width, t, &[], 0.0)).unwrap();
-        t += 1;
-    }
-    assert_eq!(engine.full_rebuilds(), 1);
-    let plan = engine.plan().unwrap().clone();
-
-    // One steady cadence: zero drift, so the due refresh must be a
-    // no-op delta — zero shards touched, every `Arc` preserved.
-    let before: Vec<_> = engine.model().unwrap().shards().to_vec();
-    let mut refreshed = false;
-    for _ in 0..width {
-        refreshed |= engine.push(&tick(n, width, t, &[], 0.0)).unwrap();
-        t += 1;
-    }
-    assert!(refreshed, "a refresh must have come due");
-    assert_eq!(engine.full_rebuilds(), 1, "steady state must not rebuild");
-    let after = engine.model().unwrap().shards();
-    for (i, (a, b)) in before.iter().zip(after).enumerate() {
-        assert!(Arc::ptr_eq(a, b), "shard {i} replaced with zero drift");
-    }
-
-    // Step two series owned by one shard: only shards holding their
-    // refit work may be replaced; provably-untouched shards keep
-    // identity and version.
-    let victim_shard = plan.shard_of(0).unwrap();
-    let stepped: Vec<SeriesId> = plan.members(victim_shard).into_iter().take(2).collect();
-    assert!(!stepped.is_empty());
-    let before: Vec<_> = engine.model().unwrap().shards().to_vec();
-    let versions_before = engine.model().unwrap().versions();
-    let mut kind = None;
-    for _ in 0..width {
-        let was = engine.refreshes();
-        engine.push(&tick(n, width, t, &stepped, 40.0)).unwrap();
-        t += 1;
-        if engine.refreshes() > was {
-            kind = Some(engine.full_rebuilds());
-            break;
-        }
-    }
-    assert_eq!(kind, Some(1), "drifted refresh must stay a delta");
-    let model = engine.model().unwrap();
-    // The drifted series' pair relationships may be pivoted in other
-    // shards, so compute the exact touched set the engine must match.
-    let drifted: Vec<bool> = (0..n).map(|v| stepped.contains(&v)).collect();
-    for (i, shard) in model.shards().iter().enumerate() {
-        let has_work = shard
-            .affine()
-            .relationships()
-            .iter()
-            .any(|r| drifted[r.pair.u] || drifted[r.pair.v])
-            || shard.owned().iter().any(|&v| drifted[v as usize]);
-        if has_work {
-            assert!(
-                !Arc::ptr_eq(&before[i], shard),
-                "shard {i} held drifted work but kept its Arc"
-            );
-            assert_eq!(shard.version(), versions_before[i] + 1, "shard {i}");
-        } else {
-            assert!(
-                Arc::ptr_eq(&before[i], shard),
-                "shard {i} had no drifted work but was replaced"
-            );
-            assert_eq!(shard.version(), versions_before[i], "shard {i}");
-        }
-    }
-}
-
-#[test]
-fn k_shard_stream_matches_single_shard_stream_bit_for_bit() {
-    let n = 10;
-    let width = 16;
-    // Same ticks through a 1-shard and a 4-shard engine: every model
-    // artifact the query layer sees must be bit-identical at every
-    // refresh, full or delta.
-    let mut one = ShardedStreamingEngine::new(n, 1, StreamingConfig::new(width));
-    let mut four = ShardedStreamingEngine::new(n, 4, StreamingConfig::new(width));
-    let mut stepped: Vec<SeriesId> = Vec::new();
-    for t in 0..(6 * width as u64) {
-        if t == 3 * width as u64 {
-            stepped = vec![1, 7]; // inject drift partway through
-        }
-        let sample = tick(n, width, t, &stepped, 25.0);
-        let a = one.push(&sample).unwrap();
-        let b = four.push(&sample).unwrap();
-        assert_eq!(a, b, "refresh cadence diverged at tick {t}");
-        if !a || one.model().is_none() {
-            continue;
-        }
-        let ma = one.model().unwrap();
-        let mb = four.model().unwrap();
-        for measure in [PairwiseMeasure::Correlation, PairwiseMeasure::DotProduct] {
-            assert_bits_eq(
-                &ma.pairwise_all(measure).unwrap(),
-                &mb.pairwise_all(measure).unwrap(),
-                &format!("tick {t}: {}", measure.name()),
-            );
-        }
-        let ids: Vec<SeriesId> = (0..n).collect();
-        assert_bits_eq(
-            &ma.location(LocationMeasure::Mean, &ids).unwrap(),
-            &mb.location(LocationMeasure::Mean, &ids).unwrap(),
-            &format!("tick {t}: mean"),
-        );
-        let never = || false;
-        assert_eq!(
-            ma.threshold_pairs_with(
-                PairwiseMeasure::Correlation,
-                ThresholdOp::Greater,
-                0.5,
-                &never
-            )
-            .unwrap(),
-            mb.threshold_pairs_with(
-                PairwiseMeasure::Correlation,
-                ThresholdOp::Greater,
-                0.5,
-                &never
-            )
-            .unwrap(),
-            "tick {t}: MET"
-        );
-    }
-    assert!(one.refreshes() >= 2, "stream too short to exercise refresh");
-    assert_eq!(one.refreshes(), four.refreshes());
-    assert_eq!(one.delta_refreshes(), four.delta_refreshes());
 }

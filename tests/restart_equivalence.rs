@@ -5,17 +5,21 @@
 //! uninterrupted — on both paper workloads (sensor and stock).
 //!
 //! This is the user-facing statement of the persistence contract: a
-//! crash between refreshes is invisible in query answers.
+//! crash between refreshes is invisible in query answers — for a
+//! monolithic server and for a shard server, which resumes the same
+//! journal and re-cuts its shards from the recovered model.
 
-use affinity::core::measures::PairwiseMeasure;
+use affinity::core::measures::{Measure, PairwiseMeasure};
 use affinity::data::generator::{sensor_dataset, stock_dataset, SensorConfig, StockConfig};
 use affinity::data::DataMatrix;
+use affinity::par::ThreadPool;
 use affinity::ql::Session;
 use affinity::scape::ThresholdOp;
-use affinity::shard::{shard_file, ShardedStreamingEngine};
+use affinity::shard::{ShardPlan, ShardedModel};
 use affinity::stream::{open_model, Model, StreamingConfig, StreamingEngine};
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 const WINDOW: usize = 24;
 const PERSIST_AT: usize = 40; // ticks before the snapshot
@@ -85,28 +89,36 @@ const STATEMENTS: &[&str] = &[
     "MEC correlation OF S0, S1, S2, S3",
 ];
 
-fn check_restart_equivalence(data: &DataMatrix, tag: &str) {
-    let dir_crashed = tmp_dir(&format!("{tag}-crashed"));
-    let dir_baseline = tmp_dir(&format!("{tag}-baseline"));
-
-    // Uninterrupted run over the full stream.
+/// Run the stream twice: once uninterrupted, once persisted to `dir` at
+/// `PERSIST_AT`, crashed at `TOTAL`, and resumed from its journal.
+fn uninterrupted_and_resumed(
+    data: &DataMatrix,
+    dir: &Path,
+    tag: &str,
+) -> (StreamingEngine, StreamingEngine) {
     let mut uninterrupted = StreamingEngine::new(data.series_count(), cfg());
     push_ticks(&mut uninterrupted, data, 0, TOTAL);
 
-    // Interrupted run: snapshot mid-stream, keep going, crash.
     let mut crashed = StreamingEngine::new(data.series_count(), cfg());
     push_ticks(&mut crashed, data, 0, PERSIST_AT);
-    crashed.persist_to(&dir_crashed).unwrap();
+    crashed.persist_to(dir).unwrap();
     push_ticks(&mut crashed, data, PERSIST_AT, TOTAL);
     let journaled = crashed.delta_refreshes();
     drop(crashed); // kill -9
 
-    let (resumed, report) = StreamingEngine::resume(cfg(), &dir_crashed).unwrap();
+    let (resumed, report) = StreamingEngine::resume(cfg(), dir).unwrap();
     assert!(
         report.replayed_records > 0,
         "{tag}: run must have journaled"
     );
     assert_eq!(resumed.delta_refreshes(), journaled, "{tag}");
+    (uninterrupted, resumed)
+}
+
+fn check_restart_equivalence(data: &DataMatrix, tag: &str) {
+    let dir_crashed = tmp_dir(&format!("{tag}-crashed"));
+    let dir_baseline = tmp_dir(&format!("{tag}-baseline"));
+    let (mut uninterrupted, resumed) = uninterrupted_and_resumed(data, &dir_crashed, tag);
 
     // Model-level equivalence, then answer-level equivalence.
     let (a, b) = (uninterrupted.model().unwrap(), resumed.model().unwrap());
@@ -117,7 +129,6 @@ fn check_restart_equivalence(data: &DataMatrix, tag: &str) {
     // QL equivalence: a session over the crash-recovered model answers
     // every statement with byte-identical output to a session over the
     // uninterrupted engine's model (persisted fresh, then opened).
-    let mut uninterrupted = uninterrupted;
     uninterrupted.persist_to(&dir_baseline).unwrap();
     let (baseline_model, _) = open_model(&dir_baseline).unwrap();
     let (crashed_model, _) = open_model(&dir_crashed).unwrap();
@@ -136,71 +147,38 @@ fn check_restart_equivalence(data: &DataMatrix, tag: &str) {
     fs::remove_dir_all(&dir_baseline).unwrap();
 }
 
-/// The sharded engine journals nothing: crash loss is bounded by the
-/// ticks since the last checkpoint, and those ticks can simply be
-/// replayed. After replay the resumed engine must match the
-/// never-crashed one **per shard, byte-for-byte** — and with one
-/// shard's snapshot torn on disk, resume must heal exactly that shard
-/// and still converge to the same bytes.
+/// A shard server resumes through the same journal and then re-cuts the
+/// recovered global model along the shape-derived `K`-shard plan. Every
+/// shard of that cut must match the never-crashed server's shard
+/// byte-for-byte, and so must every answer through the merge layer.
 fn check_sharded_restart_equivalence(data: &DataMatrix, tag: &str, k: usize) {
     let dir = tmp_dir(&format!("{tag}-shard"));
-    let dir_torn = tmp_dir(&format!("{tag}-shard-torn"));
-    let n = data.series_count();
-
-    let push_range = |engine: &mut ShardedStreamingEngine, from: usize, to: usize| {
-        for t in from..to {
-            let tick: Vec<f64> = (0..n).map(|v| data.series(v)[t]).collect();
-            engine.push(&tick).unwrap();
-        }
+    let (uninterrupted, resumed) = uninterrupted_and_resumed(data, &dir, tag);
+    let cut = |engine: &StreamingEngine| {
+        let model = engine.model().unwrap();
+        ShardedModel::from_global(
+            model.data(),
+            model.affine(),
+            ShardPlan::blocked(data.series_count(), k),
+            &Measure::EXTENDED,
+            Arc::new(ThreadPool::new(1)),
+        )
+        .unwrap()
     };
-    let assert_shards_byte_equal = |a: &ShardedStreamingEngine, b: &ShardedStreamingEngine| {
-        let (ma, mb) = (a.model().unwrap(), b.model().unwrap());
-        assert_eq!(ma.versions(), mb.versions(), "{tag}: shard versions");
-        for (i, (sa, sb)) in ma.shards().iter().zip(mb.shards()).enumerate() {
-            assert_eq!(
-                sa.affine().to_bytes(),
-                sb.affine().to_bytes(),
-                "{tag}: shard {i} affine bytes"
-            );
-            assert_eq!(
-                sa.index().to_bytes(),
-                sb.index().to_bytes(),
-                "{tag}: shard {i} index bytes"
-            );
-        }
-    };
-
-    // Uninterrupted sharded run over the full stream.
-    let mut uninterrupted = ShardedStreamingEngine::new(n, k, cfg());
-    push_range(&mut uninterrupted, 0, TOTAL);
-
-    // Interrupted run: arm persistence mid-stream, keep going (each
-    // refresh checkpoints), then crash.
-    let mut crashed = ShardedStreamingEngine::new(n, k, cfg());
-    push_range(&mut crashed, 0, PERSIST_AT);
-    crashed.persist_to(&dir).unwrap();
-    push_range(&mut crashed, PERSIST_AT, TOTAL);
-    drop(crashed); // kill -9
-
-    // Keep a pristine copy of the crash-point directory for the
-    // torn-shard fault below (a clean resume re-arms checkpointing and
-    // would overwrite it).
-    for entry in fs::read_dir(&dir).unwrap() {
-        let path = entry.unwrap().path();
-        fs::copy(&path, dir_torn.join(path.file_name().unwrap())).unwrap();
+    let (model_a, model_b) = (cut(&uninterrupted), cut(&resumed));
+    for (i, (sa, sb)) in model_a.shards().iter().zip(model_b.shards()).enumerate() {
+        assert_eq!(
+            sa.affine().to_bytes(),
+            sb.affine().to_bytes(),
+            "{tag}: shard {i} affine bytes"
+        );
+        assert_eq!(
+            sa.index().to_bytes(),
+            sb.index().to_bytes(),
+            "{tag}: shard {i} index bytes"
+        );
     }
 
-    // Clean resume: replay the lost tail, land on identical bytes.
-    let (mut resumed, recovery) = ShardedStreamingEngine::resume(cfg(), &dir).unwrap();
-    assert!(recovery.healed.is_empty(), "{tag}: clean dir healed");
-    let lost_from = resumed.window().ticks() as usize;
-    assert!(lost_from <= TOTAL, "{tag}: resumed past the stream");
-    push_range(&mut resumed, lost_from, TOTAL);
-    assert_shards_byte_equal(&uninterrupted, &resumed);
-
-    // QL answers over the recovered model, byte-for-byte.
-    let model_a = uninterrupted.model().unwrap().clone();
-    let model_b = resumed.model().unwrap().clone();
     let session_a = Session::from_sharded(&model_a, Vec::new()).unwrap();
     let session_b = Session::from_sharded(&model_b, Vec::new()).unwrap();
     for stmt in STATEMENTS {
@@ -211,30 +189,7 @@ fn check_sharded_restart_equivalence(data: &DataMatrix, tag: &str, k: usize) {
         );
     }
 
-    // Crash-matrix fault: one shard's snapshot torn, others clean.
-    // Resume must heal exactly the torn shard and, after replaying the
-    // same tail, converge to the uninterrupted engine's bytes.
-    let torn = k - 1;
-    tear(&shard_file(&dir_torn, torn));
-    let (mut healed, recovery) = ShardedStreamingEngine::resume(cfg(), &dir_torn).unwrap();
-    assert_eq!(
-        recovery.healed_shards(),
-        vec![torn],
-        "{tag}: healed set ({recovery:?})"
-    );
-    let lost_from = healed.window().ticks() as usize;
-    push_range(&mut healed, lost_from, TOTAL);
-    assert_shards_byte_equal(&uninterrupted, &healed);
-
     fs::remove_dir_all(&dir).unwrap();
-    fs::remove_dir_all(&dir_torn).unwrap();
-}
-
-fn tear(path: &Path) {
-    let mut bytes = fs::read(path).unwrap();
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0xa5;
-    fs::write(path, bytes).unwrap();
 }
 
 #[test]
