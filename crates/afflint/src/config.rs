@@ -3,9 +3,10 @@
 //! R2/R3/R4/R6 and waiver validation run on every workspace `.rs`
 //! file. R1 (panic-freedom) and R5 (checked length arithmetic) are
 //! scoped to the modules that untrusted bytes actually reach — the
-//! storage persist/journal/column readers, the QL parser/session, the
-//! serve server/queue, and the model decode paths — where a panic is a
-//! remote crash, not a programmer error. To put a new module under
+//! storage persist/journal/column readers, the statement path (QL
+//! parser/planner/session, the coordinator, the sharded merge layer,
+//! the shared line reader and both servers), and the model decode
+//! paths — where a panic is a remote crash, not a programmer error. To put a new module under
 //! R1/R5 protection, add its path here; to add a whole rule, see the
 //! "Static analysis" section of ARCHITECTURE.md.
 
@@ -27,13 +28,17 @@ const UNTRUSTED: &[&str] = &[
     "crates/storage/src/store.rs",
     "crates/storage/src/layout.rs",
     "crates/ql/src/parser.rs",
+    "crates/ql/src/plan.rs",
     "crates/ql/src/session.rs",
     "crates/ql/src/cancel.rs",
     "crates/serve/src/server.rs",
     "crates/serve/src/queue.rs",
     "crates/coord/src/proto.rs",
     "crates/coord/src/backend.rs",
+    "crates/coord/src/coordinator.rs",
+    "crates/coord/src/lines.rs",
     "crates/coord/src/server.rs",
+    "crates/shard/src/model.rs",
     "crates/core/src/persist.rs",
     "crates/scape/src/persist.rs",
     "crates/stream/src/persist.rs",

@@ -1,10 +1,11 @@
 //! Statement execution over a fleet of shard backends.
 //!
-//! The coordinator parses MET/MER/MEC statements with `affinity_ql`,
-//! fans the shard-local pieces out over [`ShardBackend`]s, and merges
-//! with the *same* splice/merge helpers [`affinity_shard::ShardedModel`]
+//! The coordinator plans statements with the one `affinity_ql` planner
+//! ([`affinity_ql::plan`]) and supplies only the query primitives: it
+//! fans shard-local pieces out over [`ShardBackend`]s and merges with
+//! the *same* splice/merge helpers [`affinity_shard::ShardedModel`]
 //! uses in process — so a distributed answer is bit-identical to the
-//! single-box sharded answer, which PR 9's oracle already proved
+//! single-box sharded answer, which the shard oracle proves
 //! bit-identical to the monolithic model.
 //!
 //! Failure semantics (the headline):
@@ -26,9 +27,9 @@ use affinity_core::measures::{LocationMeasure, Measure, PairwiseMeasure};
 use affinity_core::mec::require_distinct;
 use affinity_data::{SequencePair, SeriesId};
 use affinity_linalg::Matrix;
-use affinity_ql::{parse, series_labels, QlError, QueryOutput, Statement};
-use affinity_scape::ThresholdOp;
+use affinity_ql::{plan, series_labels, CancelToken, Filter, QlError, QueryModel, QueryOutput};
 use affinity_shard::{merge_keyed_series, splice_chunks, ShardPlan};
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -64,8 +65,11 @@ impl CoordError {
     fn new(code: &'static str, message: String) -> CoordError {
         CoordError { code, message }
     }
+}
 
-    fn from_ql(e: &QlError) -> CoordError {
+/// Planner errors keep the wire code and text a local session reports.
+impl From<QlError> for CoordError {
+    fn from(e: QlError) -> CoordError {
         CoordError::new(e.wire_code(), e.to_string())
     }
 }
@@ -78,8 +82,26 @@ impl fmt::Display for CoordError {
 
 impl std::error::Error for CoordError {}
 
-/// Map a shard-reported code onto the closed static set (unknown codes
-/// collapse to `INTERNAL` rather than leaking arbitrary bytes).
+/// A backend failure as a statement error. A shard's typed answer
+/// keeps its code (the shard is healthy; the statement is what is
+/// wrong); unknown codes collapse to `INTERNAL` rather than leaking
+/// arbitrary bytes.
+impl From<BackendError> for CoordError {
+    fn from(e: BackendError) -> CoordError {
+        match e {
+            BackendError::Remote {
+                shard,
+                code,
+                message,
+            } => CoordError::new(intern_code(&code), format!("shard {shard}: {message}")),
+            BackendError::Unavailable { shard, reason } => {
+                CoordError::new("UNAVAILABLE", format!("shard {shard}: {reason}"))
+            }
+        }
+    }
+}
+
+/// Map a shard-reported code onto the closed static set.
 fn intern_code(code: &str) -> &'static str {
     match code {
         "PARSE" => "PARSE",
@@ -103,12 +125,13 @@ pub struct CoordAnswer {
     pub missing: Vec<usize>,
 }
 
-/// Per-statement accounting of calls that finally failed; settled into
-/// the `degraded`/`failed` ledger buckets once the statement outcome is
-/// known.
-#[derive(Default)]
-struct Acct {
-    failed_calls: u64,
+/// Render shard indexes as the wire's comma-separated list.
+pub(crate) fn shard_list(shards: &[usize]) -> String {
+    shards
+        .iter()
+        .map(|s| s.to_string())
+        .collect::<Vec<_>>()
+        .join(",")
 }
 
 /// The routing + merge layer over a fleet of shard backends.
@@ -200,15 +223,8 @@ impl Coordinator {
                 }
             }
         }
-        let meta = match meta {
-            Some(m) => m,
-            None => {
-                return Err(CoordError::new(
-                    "INTERNAL",
-                    "no shard meta collected".to_string(),
-                ))
-            }
-        };
+        let meta =
+            meta.ok_or_else(|| CoordError::new("INTERNAL", "no shard meta collected".to_string()))?;
         let labels =
             series_labels(labels, meta.series).map_err(|msg| CoordError::new("INTERNAL", msg))?;
         Ok(Coordinator {
@@ -243,38 +259,34 @@ impl Coordinator {
     /// with `missing` non-empty.
     pub fn execute(&self, query: &str) -> Result<CoordAnswer, CoordError> {
         CoordStats::bump(&self.stats.stmts);
-        let statement = match parse(query) {
-            Ok(s) => s,
-            Err(e) => {
-                CoordStats::bump(&self.stats.errors);
-                return Err(CoordError::from_ql(&QlError::Parse(e)));
-            }
+        let fleet = Fleet {
+            coord: self,
+            failed_calls: Cell::new(0),
+            missing: RefCell::new(Vec::new()),
         };
-        let mut acct = Acct::default();
-        let settled = match self.run(&statement, &mut acct) {
-            Ok((output, missing)) if missing.is_empty() => {
+        let result = plan::execute(&fleet, &self.labels, query, &CancelToken::new());
+        let failed_calls = fleet.failed_calls.get();
+        let mut missing = fleet.missing.into_inner();
+        missing.sort_unstable();
+        missing.dedup();
+        let outcome = match result {
+            Ok(output) if missing.is_empty() => {
                 CoordStats::bump(&self.stats.ok);
-                Ok((output, missing, true))
+                Ok(CoordAnswer { output, missing })
             }
-            Ok((output, missing)) => {
-                if self.strict {
-                    CoordStats::bump(&self.stats.unavailable);
-                    let list = missing
-                        .iter()
-                        .map(|s| s.to_string())
-                        .collect::<Vec<_>>()
-                        .join(",");
-                    Err((
-                        CoordError::new(
-                            "UNAVAILABLE",
-                            format!("strict mode refuses a partial answer; shards {list} down"),
-                        ),
-                        false,
-                    ))
-                } else {
-                    CoordStats::bump(&self.stats.degraded_answers);
-                    Ok((output, missing, true))
-                }
+            Ok(output) if !self.strict => {
+                CoordStats::bump(&self.stats.degraded_answers);
+                Ok(CoordAnswer { output, missing })
+            }
+            Ok(_) => {
+                CoordStats::bump(&self.stats.unavailable);
+                Err(CoordError::new(
+                    "UNAVAILABLE",
+                    format!(
+                        "strict mode refuses a partial answer; shards {} down",
+                        shard_list(&missing)
+                    ),
+                ))
             }
             Err(e) => {
                 CoordStats::bump(if e.code == "UNAVAILABLE" {
@@ -282,73 +294,35 @@ impl Coordinator {
                 } else {
                     &self.stats.errors
                 });
-                Err((e, false))
+                Err(e)
             }
         };
         // Settle this statement's finally-failed calls: the statement
         // was answered around them (degraded) or was lost with them
         // (failed).
-        match settled {
-            Ok((output, missing, answered)) => {
-                self.settle(&acct, answered);
-                Ok(CoordAnswer { output, missing })
-            }
-            Err((e, answered)) => {
-                self.settle(&acct, answered);
-                Err(e)
-            }
-        }
-    }
-
-    fn settle(&self, acct: &Acct, answered: bool) {
-        if acct.failed_calls > 0 {
-            let bucket = if answered {
+        if failed_calls > 0 {
+            let bucket = if outcome.is_ok() {
                 &self.stats.degraded
             } else {
                 &self.stats.failed
             };
-            CoordStats::add(bucket, acct.failed_calls);
+            CoordStats::add(bucket, failed_calls);
         }
+        outcome
     }
+}
 
-    // --- label resolution (mirrors affinity_ql::Session) -----------
+/// One statement's view of the fleet: the query primitives the planner
+/// runs on, plus the statement's accounting — calls that finally failed
+/// (settled into the `degraded`/`failed` ledger buckets once the
+/// outcome is known) and shards whose contribution is missing.
+struct Fleet<'a> {
+    coord: &'a Coordinator,
+    failed_calls: Cell<u64>,
+    missing: RefCell<Vec<usize>>,
+}
 
-    fn resolve(&self, reference: &str) -> Result<SeriesId, CoordError> {
-        for (v, label) in self.labels.iter().enumerate() {
-            if label == reference {
-                return Ok(v);
-            }
-        }
-        if let Ok(id) = reference.parse::<usize>() {
-            if id < self.labels.len() {
-                return Ok(id);
-            }
-        }
-        Err(CoordError::from_ql(&QlError::UnknownSeries(
-            reference.to_string(),
-        )))
-    }
-
-    fn label(&self, v: SeriesId) -> String {
-        self.labels
-            .get(v)
-            .cloned()
-            .unwrap_or_else(|| format!("series-{v}"))
-    }
-
-    fn pair_labels(&self, pairs: Vec<SequencePair>) -> Vec<(String, String)> {
-        pairs
-            .into_iter()
-            .map(|p| (self.label(p.u), self.label(p.v)))
-            .collect()
-    }
-
-    fn indexed(&self, measure: Measure) -> bool {
-        self.meta.indexed.contains(&measure)
-    }
-
-    // --- fan-out ---------------------------------------------------
-
+impl Fleet<'_> {
     /// Send `req` to every target shard concurrently. Returns the
     /// healthy answers and the sorted list of unreachable shards;
     /// a shard-reported typed error fails the whole statement (the
@@ -358,34 +332,23 @@ impl Coordinator {
         &self,
         targets: &[usize],
         req: &ShardRequest,
-        acct: &mut Acct,
     ) -> Result<(Vec<(usize, ShardResponse)>, Vec<usize>), CoordError> {
+        let call = |t: usize| match self.coord.backends.get(t) {
+            Some(b) => b.call(req),
+            None => Err(BackendError::Unavailable {
+                shard: t,
+                reason: "no backend".to_string(),
+            }),
+        };
         let mut results: Vec<(usize, Result<ShardResponse, BackendError>)> =
             Vec::with_capacity(targets.len());
         if let [one] = targets {
-            let r = match self.backends.get(*one) {
-                Some(b) => b.call(req),
-                None => Err(BackendError::Unavailable {
-                    shard: *one,
-                    reason: "no backend".to_string(),
-                }),
-            };
-            results.push((*one, r));
+            results.push((*one, call(*one)));
         } else {
             std::thread::scope(|scope| {
                 let handles: Vec<_> = targets
                     .iter()
-                    .map(|&t| {
-                        let backend = self.backends.get(t).cloned();
-                        let handle = scope.spawn(move || match backend {
-                            Some(b) => b.call(req),
-                            None => Err(BackendError::Unavailable {
-                                shard: t,
-                                reason: "no backend".to_string(),
-                            }),
-                        });
-                        (t, handle)
-                    })
+                    .map(|&t| (t, scope.spawn(move || call(t))))
                     .collect();
                 for (t, handle) in handles {
                     // A panicking backend must degrade, not poison the
@@ -407,20 +370,12 @@ impl Coordinator {
             match r {
                 Ok(resp) => ok.push((t, resp)),
                 Err(BackendError::Unavailable { .. }) => {
-                    acct.failed_calls = acct.failed_calls.saturating_add(1);
+                    self.failed_calls
+                        .set(self.failed_calls.get().saturating_add(1));
                     down.push(t);
                 }
-                Err(BackendError::Remote {
-                    shard,
-                    code,
-                    message,
-                }) => {
-                    if remote.is_none() {
-                        remote = Some(CoordError::new(
-                            intern_code(&code),
-                            format!("shard {shard}: {message}"),
-                        ));
-                    }
+                Err(e @ BackendError::Remote { .. }) => {
+                    remote.get_or_insert_with(|| e.into());
                 }
             }
         }
@@ -431,166 +386,204 @@ impl Coordinator {
         Ok((ok, down))
     }
 
+    /// Fan `req` to every shard for an answer that may degrade: the
+    /// unreachable shards become the statement's `missing` list, and
+    /// with none reachable the statement is `UNAVAILABLE`.
+    fn fan_all(&self, req: &ShardRequest) -> Result<Vec<(usize, ShardResponse)>, CoordError> {
+        let all: Vec<usize> = (0..self.coord.backends.len()).collect();
+        let (ok, down) = self.fan_out(&all, req)?;
+        if ok.is_empty() {
+            return Err(no_shard_reachable());
+        }
+        self.missing.borrow_mut().extend(down);
+        Ok(ok)
+    }
+
     /// Ask shards in order until one answers `req` (used for answers
     /// any shard can give, like normalizer diagonals).
-    fn first_healthy(
-        &self,
-        req: &ShardRequest,
-        acct: &mut Acct,
-    ) -> Result<ShardResponse, CoordError> {
-        for backend in &self.backends {
+    fn first_healthy(&self, req: &ShardRequest) -> Result<ShardResponse, CoordError> {
+        for backend in &self.coord.backends {
             match backend.call(req) {
                 Ok(resp) => return Ok(resp),
                 Err(BackendError::Unavailable { .. }) => {
-                    acct.failed_calls = acct.failed_calls.saturating_add(1);
+                    self.failed_calls
+                        .set(self.failed_calls.get().saturating_add(1));
                 }
-                Err(BackendError::Remote {
-                    shard,
-                    code,
-                    message,
-                }) => {
-                    return Err(CoordError::new(
-                        intern_code(&code),
-                        format!("shard {shard}: {message}"),
-                    ));
-                }
+                Err(e @ BackendError::Remote { .. }) => return Err(e.into()),
             }
         }
-        Err(CoordError::new(
-            "UNAVAILABLE",
-            "no shard reachable".to_string(),
-        ))
+        Err(no_shard_reachable())
+    }
+}
+
+impl QueryModel for Fleet<'_> {
+    type Error = CoordError;
+
+    fn indexed(&self, measure: Measure) -> bool {
+        self.coord.meta.indexed.contains(&measure)
     }
 
-    fn all_shards(&self) -> Vec<usize> {
-        (0..self.backends.len()).collect()
+    fn shards(&self) -> Option<usize> {
+        Some(self.coord.meta.plan.shards())
     }
 
-    // --- execution -------------------------------------------------
-
-    #[allow(clippy::type_complexity)]
-    fn run(
+    /// Route each id to its owning shard. A down owner drops its rows
+    /// (degraded); every owner down is `UNAVAILABLE`.
+    fn location(
         &self,
-        statement: &Statement,
-        acct: &mut Acct,
-    ) -> Result<(QueryOutput, Vec<usize>), CoordError> {
-        match statement {
-            Statement::Explain(inner) => Ok((QueryOutput::Plan(self.plan(inner)), Vec::new())),
-            Statement::Mec { measure, series } => {
-                let ids = series
-                    .iter()
-                    .map(|s| self.resolve(s))
-                    .collect::<Result<Vec<_>, _>>()?;
-                match measure {
-                    Measure::Location(l) => self.mec_location(*l, &ids, acct),
-                    Measure::Pairwise(p) => self.mec_pairwise(*p, &ids, acct),
-                }
-            }
-            Statement::Met {
-                measure,
-                greater,
-                tau,
-            } => {
-                let op = if *greater {
-                    ThresholdOp::Greater
-                } else {
-                    ThresholdOp::Less
+        measure: LocationMeasure,
+        ids: &[SeriesId],
+    ) -> Result<Vec<Option<f64>>, CoordError> {
+        // Group requested positions by owning shard, preserving request
+        // order within each group.
+        let mut by_owner: BTreeMap<usize, Vec<(usize, SeriesId)>> = BTreeMap::new();
+        for (pos, &v) in ids.iter().enumerate() {
+            let owner = self.coord.meta.plan.shard_of(v).unwrap_or(0);
+            by_owner.entry(owner).or_default().push((pos, v));
+        }
+        let mut rows: Vec<Option<f64>> = vec![None; ids.len()];
+        let mut answered_any = by_owner.is_empty();
+        for (owner, group) in &by_owner {
+            let mut owner_down = false;
+            for chunk in group.chunks(MAX_LIST) {
+                let req = ShardRequest::LocationValues {
+                    measure,
+                    ids: chunk.iter().map(|&(_, v)| v as u32).collect(),
                 };
-                let tau = *tau;
-                match measure {
-                    Measure::Pairwise(p) => {
-                        if self.indexed(*measure) {
-                            let req = ShardRequest::ThresholdPairs {
-                                measure: *p,
-                                op,
-                                tau,
-                            };
-                            self.merge_pairs(&req, acct)
-                        } else {
-                            self.scan_pairs(
-                                *p,
-                                move |v| match op {
-                                    ThresholdOp::Greater => v > tau,
-                                    ThresholdOp::Less => v < tau,
-                                },
-                                acct,
-                            )
-                        }
-                    }
-                    Measure::Location(l) => {
-                        if self.indexed(*measure) {
-                            let req = ShardRequest::ThresholdSeries {
-                                measure: *l,
-                                op,
-                                tau,
-                            };
-                            self.merge_series(&req, acct)
-                        } else {
-                            self.scan_series(
-                                *l,
-                                move |v| match op {
-                                    ThresholdOp::Greater => v > tau,
-                                    ThresholdOp::Less => v < tau,
-                                },
-                                acct,
-                            )
-                        }
+                let (ok, down) = self.fan_out(&[*owner], &req)?;
+                let Some((shard, resp)) = ok.into_iter().next().filter(|_| down.is_empty()) else {
+                    owner_down = true;
+                    break;
+                };
+                let ShardResponse::Values(values) = resp else {
+                    return Err(wrong_shape(shard));
+                };
+                if values.len() != chunk.len() {
+                    return Err(wrong_shape(*owner));
+                }
+                for (&(pos, _), x) in chunk.iter().zip(values) {
+                    if let Some(slot) = rows.get_mut(pos) {
+                        *slot = Some(x);
                     }
                 }
             }
-            Statement::Mer { measure, lo, hi } => {
-                let (lo, hi) = (*lo, *hi);
-                if lo > hi {
-                    return Err(CoordError::from_ql(&QlError::EmptyRange { lo, hi }));
-                }
-                match measure {
-                    Measure::Pairwise(p) => {
-                        if self.indexed(*measure) {
-                            let req = ShardRequest::RangePairs {
-                                measure: *p,
-                                lo,
-                                hi,
-                            };
-                            self.merge_pairs(&req, acct)
-                        } else {
-                            self.scan_pairs(*p, move |v| lo < v && v < hi, acct)
-                        }
-                    }
-                    Measure::Location(l) => {
-                        if self.indexed(*measure) {
-                            let req = ShardRequest::RangeSeries {
-                                measure: *l,
-                                lo,
-                                hi,
-                            };
-                            self.merge_series(&req, acct)
-                        } else {
-                            self.scan_series(*l, move |v| lo < v && v < hi, acct)
-                        }
-                    }
-                }
+            if owner_down {
+                self.missing.borrow_mut().push(*owner);
+            } else {
+                answered_any = true;
             }
         }
-    }
-
-    /// Indexed MET/MER over a pairwise measure: fan to every shard,
-    /// splice chunks by global pivot ordinal — the exact in-process
-    /// merge ([`splice_chunks`]).
-    #[allow(clippy::type_complexity)]
-    fn merge_pairs(
-        &self,
-        req: &ShardRequest,
-        acct: &mut Acct,
-    ) -> Result<(QueryOutput, Vec<usize>), CoordError> {
-        let (ok, down) = self.fan_out(&self.all_shards(), req, acct)?;
-        if ok.is_empty() {
+        if !answered_any {
             return Err(CoordError::new(
                 "UNAVAILABLE",
-                "no shard reachable".to_string(),
+                "every owning shard is unreachable".to_string(),
             ));
         }
+        Ok(rows)
+    }
+
+    /// All-or-nothing: a matrix with holes is a *wrong* answer, not a
+    /// partial one, so any needed shard being down fails the statement
+    /// `UNAVAILABLE`.
+    fn pairwise(&self, measure: PairwiseMeasure, ids: &[SeriesId]) -> Result<Matrix, CoordError> {
+        // Same typed rejection (code and text) as a local session.
+        require_distinct(ids).map_err(|e| QlError::Engine(e.to_string()))?;
+        let q = ids.len();
+        let mut matrix = Matrix::zeros(q, q);
+        // Diagonal: global normalizer tables, identical on every shard —
+        // any healthy shard answers.
+        for (offset, chunk) in ids.chunks(MAX_LIST).enumerate() {
+            let req = ShardRequest::DiagValues {
+                measure,
+                ids: chunk.iter().map(|&v| v as u32).collect(),
+            };
+            let ShardResponse::Values(values) = self.first_healthy(&req)? else {
+                return Err(wrong_shape(0));
+            };
+            if values.len() != chunk.len() {
+                return Err(CoordError::new(
+                    "INTERNAL",
+                    "diagonal answer shape mismatch".to_string(),
+                ));
+            }
+            for (k, x) in values.into_iter().enumerate() {
+                let i = offset.saturating_mul(MAX_LIST).saturating_add(k);
+                matrix.set(i, i, x);
+            }
+        }
+        // Off-diagonals: each pair lives in exactly one shard's affine
+        // partition, unknowable from the plan — ask everyone, take the
+        // unique `Some`. Pairs are canonicalized: resolve order need not
+        // be id order.
+        let mut flat: Vec<(usize, usize, SequencePair)> =
+            Vec::with_capacity(q.saturating_mul(q) / 2);
+        for (i, &a) in ids.iter().enumerate() {
+            for (j, &b) in ids.iter().enumerate().skip(i + 1) {
+                flat.push((i, j, SequencePair::new(a, b)));
+            }
+        }
+        let all: Vec<usize> = (0..self.coord.backends.len()).collect();
+        for chunk in flat.chunks(MAX_LIST) {
+            let req = ShardRequest::PairValues {
+                measure,
+                pairs: chunk
+                    .iter()
+                    .map(|&(_, _, p)| (p.u as u32, p.v as u32))
+                    .collect(),
+            };
+            let (ok, down) = self.fan_out(&all, &req)?;
+            if !down.is_empty() {
+                return Err(CoordError::new(
+                    "UNAVAILABLE",
+                    format!(
+                        "MEC pairwise needs every shard; shards {} down",
+                        shard_list(&down)
+                    ),
+                ));
+            }
+            let mut merged: Vec<Option<f64>> = vec![None; chunk.len()];
+            for (shard, resp) in ok {
+                let ShardResponse::MaybeValues(values) = resp else {
+                    return Err(wrong_shape(shard));
+                };
+                if values.len() != chunk.len() {
+                    return Err(wrong_shape(shard));
+                }
+                for (slot, value) in merged.iter_mut().zip(values) {
+                    if let Some(x) = value {
+                        *slot = Some(x);
+                    }
+                }
+            }
+            for (&(i, j, p), value) in chunk.iter().zip(merged) {
+                let Some(x) = value else {
+                    return Err(QlError::Engine(format!(
+                        "no affine relationship stored for pair ({}, {})",
+                        p.u, p.v
+                    ))
+                    .into());
+                };
+                matrix.set(i, j, x);
+                matrix.set(j, i, x);
+            }
+        }
+        Ok(matrix)
+    }
+
+    /// Fan to every shard, splice chunks by global pivot ordinal — the
+    /// exact in-process merge ([`splice_chunks`]).
+    fn search_pairs(
+        &self,
+        measure: PairwiseMeasure,
+        filter: Filter,
+        _token: &CancelToken,
+    ) -> Result<Vec<SequencePair>, CoordError> {
+        let req = match filter {
+            Filter::Threshold { op, tau } => ShardRequest::ThresholdPairs { measure, op, tau },
+            Filter::Range { lo, hi } => ShardRequest::RangePairs { measure, lo, hi },
+        };
         let mut chunks: Vec<(u32, Vec<SequencePair>)> = Vec::new();
-        for (shard, resp) in ok {
+        for (shard, resp) in self.fan_all(&req)? {
             let ShardResponse::PairChunks(cs) = resp else {
                 return Err(wrong_shape(shard));
             };
@@ -608,28 +601,23 @@ impl Coordinator {
                 ));
             }
         }
-        let pairs = splice_chunks(chunks);
-        Ok((QueryOutput::Pairs(self.pair_labels(pairs)), down))
+        Ok(splice_chunks(chunks))
     }
 
-    /// Indexed MET/MER over a location measure: fan to every shard,
-    /// merge per-cluster keyed entries — the exact in-process merge
-    /// ([`merge_keyed_series`]).
-    #[allow(clippy::type_complexity)]
-    fn merge_series(
+    /// Fan to every shard, merge per-cluster keyed entries — the exact
+    /// in-process merge ([`merge_keyed_series`]).
+    fn search_series(
         &self,
-        req: &ShardRequest,
-        acct: &mut Acct,
-    ) -> Result<(QueryOutput, Vec<usize>), CoordError> {
-        let (ok, down) = self.fan_out(&self.all_shards(), req, acct)?;
-        if ok.is_empty() {
-            return Err(CoordError::new(
-                "UNAVAILABLE",
-                "no shard reachable".to_string(),
-            ));
-        }
-        let mut per_shard: Vec<Vec<Vec<(f64, SeriesId)>>> = Vec::with_capacity(ok.len());
-        for (shard, resp) in ok {
+        measure: LocationMeasure,
+        filter: Filter,
+        _token: &CancelToken,
+    ) -> Result<Vec<SeriesId>, CoordError> {
+        let req = match filter {
+            Filter::Threshold { op, tau } => ShardRequest::ThresholdSeries { measure, op, tau },
+            Filter::Range { lo, hi } => ShardRequest::RangeSeries { measure, lo, hi },
+        };
+        let mut per_shard: Vec<Vec<Vec<(f64, SeriesId)>>> = Vec::new();
+        for (shard, resp) in self.fan_all(&req)? {
             let ShardResponse::KeyedSeries(clusters) = resp else {
                 return Err(wrong_shape(shard));
             };
@@ -645,305 +633,69 @@ impl Coordinator {
                     .collect(),
             );
         }
-        let series = merge_keyed_series(per_shard);
-        Ok((
-            QueryOutput::Series(series.into_iter().map(|v| self.label(v)).collect()),
-            down,
-        ))
+        Ok(merge_keyed_series(per_shard))
     }
 
-    /// Fallback MET/MER over a pairwise measure: every shard scans its
-    /// own relationship partition; the coordinator filters and sorts
-    /// into the monolithic scan's `(u, v)` iteration order.
-    #[allow(clippy::type_complexity)]
+    /// Every shard scans its own relationship partition; the
+    /// coordinator filters and sorts into the monolithic scan's
+    /// `(u, v)` iteration order.
     fn scan_pairs(
         &self,
         measure: PairwiseMeasure,
-        keep: impl Fn(f64) -> bool,
-        acct: &mut Acct,
-    ) -> Result<(QueryOutput, Vec<usize>), CoordError> {
-        let req = ShardRequest::ScanPairs { measure };
-        let (ok, down) = self.fan_out(&self.all_shards(), &req, acct)?;
-        if ok.is_empty() {
-            return Err(CoordError::new(
-                "UNAVAILABLE",
-                "no shard reachable".to_string(),
-            ));
-        }
+        filter: Filter,
+        _token: &CancelToken,
+    ) -> Result<Vec<SequencePair>, CoordError> {
         let mut hits: Vec<(u32, u32)> = Vec::new();
-        for (shard, resp) in ok {
+        for (shard, resp) in self.fan_all(&ShardRequest::ScanPairs { measure })? {
             let ShardResponse::ScanPairs(entries) = resp else {
                 return Err(wrong_shape(shard));
             };
-            for (u, v, x) in entries {
-                if keep(x) {
-                    hits.push((u, v));
-                }
-            }
+            hits.extend(
+                entries
+                    .into_iter()
+                    .filter(|&(_, _, x)| filter.keep(x))
+                    .map(|(u, v, _)| (u, v)),
+            );
         }
         // The shards' pair sets are disjoint, so sorting recovers the
         // u-ascending / v-ascending global scan order exactly.
         hits.sort_unstable();
-        let pairs = hits
+        Ok(hits
             .into_iter()
             .map(|(u, v)| SequencePair {
                 u: u as usize,
                 v: v as usize,
             })
-            .collect();
-        Ok((QueryOutput::Pairs(self.pair_labels(pairs)), down))
+            .collect())
     }
 
-    /// Fallback MET/MER over a location measure: every shard scans the
-    /// series it owns; filter + sort recovers the global `0..n` order.
-    #[allow(clippy::type_complexity)]
+    /// Every shard scans the series it owns; filter + sort recovers the
+    /// global `0..n` order.
     fn scan_series(
         &self,
         measure: LocationMeasure,
-        keep: impl Fn(f64) -> bool,
-        acct: &mut Acct,
-    ) -> Result<(QueryOutput, Vec<usize>), CoordError> {
-        let req = ShardRequest::ScanSeries { measure };
-        let (ok, down) = self.fan_out(&self.all_shards(), &req, acct)?;
-        if ok.is_empty() {
-            return Err(CoordError::new(
-                "UNAVAILABLE",
-                "no shard reachable".to_string(),
-            ));
-        }
+        filter: Filter,
+        _token: &CancelToken,
+    ) -> Result<Vec<SeriesId>, CoordError> {
         let mut hits: Vec<u32> = Vec::new();
-        for (shard, resp) in ok {
+        for (shard, resp) in self.fan_all(&ShardRequest::ScanSeries { measure })? {
             let ShardResponse::ScanSeries(entries) = resp else {
                 return Err(wrong_shape(shard));
             };
-            for (v, x) in entries {
-                if keep(x) {
-                    hits.push(v);
-                }
-            }
+            hits.extend(
+                entries
+                    .into_iter()
+                    .filter(|&(_, x)| filter.keep(x))
+                    .map(|(v, _)| v),
+            );
         }
         hits.sort_unstable();
-        Ok((
-            QueryOutput::Series(hits.into_iter().map(|v| self.label(v as usize)).collect()),
-            down,
-        ))
+        Ok(hits.into_iter().map(|v| v as usize).collect())
     }
+}
 
-    /// MEC over a location measure: route each id to its owning shard.
-    /// A down owner drops its rows (degraded); every owner down is
-    /// `UNAVAILABLE`.
-    #[allow(clippy::type_complexity)]
-    fn mec_location(
-        &self,
-        measure: LocationMeasure,
-        ids: &[SeriesId],
-        acct: &mut Acct,
-    ) -> Result<(QueryOutput, Vec<usize>), CoordError> {
-        // Group requested positions by owning shard, preserving request
-        // order within each group.
-        let mut by_owner: BTreeMap<usize, Vec<(usize, SeriesId)>> = BTreeMap::new();
-        for (pos, &v) in ids.iter().enumerate() {
-            let owner = self.meta.plan.shard_of(v).unwrap_or(0);
-            by_owner.entry(owner).or_default().push((pos, v));
-        }
-        let mut rows: Vec<Option<(String, f64)>> = vec![None; ids.len()];
-        let mut down: Vec<usize> = Vec::new();
-        let mut answered_any = by_owner.is_empty();
-        for (owner, group) in &by_owner {
-            let mut owner_down = false;
-            for chunk in group.chunks(MAX_LIST) {
-                let req = ShardRequest::LocationValues {
-                    measure,
-                    ids: chunk.iter().map(|&(_, v)| v as u32).collect(),
-                };
-                let (ok, fan_down) = self.fan_out(&[*owner], &req, acct)?;
-                if !fan_down.is_empty() {
-                    owner_down = true;
-                    break;
-                }
-                let Some((shard, resp)) = ok.into_iter().next() else {
-                    owner_down = true;
-                    break;
-                };
-                let ShardResponse::Values(values) = resp else {
-                    return Err(wrong_shape(shard));
-                };
-                if values.len() != chunk.len() {
-                    return Err(wrong_shape(*owner));
-                }
-                for (&(pos, v), x) in chunk.iter().zip(values) {
-                    if let Some(slot) = rows.get_mut(pos) {
-                        *slot = Some((self.label(v), x));
-                    }
-                }
-            }
-            if owner_down {
-                down.push(*owner);
-            } else {
-                answered_any = true;
-            }
-        }
-        if !answered_any {
-            return Err(CoordError::new(
-                "UNAVAILABLE",
-                "every owning shard is unreachable".to_string(),
-            ));
-        }
-        Ok((
-            QueryOutput::Values(rows.into_iter().flatten().collect()),
-            down,
-        ))
-    }
-
-    /// MEC over a pairwise measure: all-or-nothing — a matrix with
-    /// holes is a *wrong* answer, not a partial one, so any needed
-    /// shard being down fails the statement `UNAVAILABLE`.
-    #[allow(clippy::type_complexity)]
-    fn mec_pairwise(
-        &self,
-        measure: PairwiseMeasure,
-        ids: &[SeriesId],
-        acct: &mut Acct,
-    ) -> Result<(QueryOutput, Vec<usize>), CoordError> {
-        // Same typed rejection (code and text) as a local session.
-        require_distinct(ids).map_err(|e| CoordError::from_ql(&QlError::Engine(e.to_string())))?;
-        let q = ids.len();
-        let mut matrix = Matrix::zeros(q, q);
-        // Diagonal: global normalizer tables, identical on every shard —
-        // any healthy shard answers.
-        for (offset, chunk) in ids.chunks(MAX_LIST).enumerate() {
-            let req = ShardRequest::DiagValues {
-                measure,
-                ids: chunk.iter().map(|&v| v as u32).collect(),
-            };
-            let resp = self.first_healthy(&req, acct)?;
-            let ShardResponse::Values(values) = resp else {
-                return Err(wrong_shape(0));
-            };
-            if values.len() != chunk.len() {
-                return Err(CoordError::new(
-                    "INTERNAL",
-                    "diagonal answer shape mismatch".to_string(),
-                ));
-            }
-            for (k, x) in values.into_iter().enumerate() {
-                let i = offset.saturating_mul(MAX_LIST).saturating_add(k);
-                matrix.set(i, i, x);
-            }
-        }
-        // Off-diagonals: each pair lives in exactly one shard's affine
-        // partition, unknowable from the plan — ask everyone, take the
-        // unique `Some`.
-        let mut flat: Vec<(usize, usize)> = Vec::with_capacity(q.saturating_mul(q) / 2);
-        for i in 0..q {
-            for j in i + 1..q {
-                flat.push((i, j));
-            }
-        }
-        for chunk in flat.chunks(MAX_LIST) {
-            let wire_pairs: Vec<(u32, u32)> = chunk
-                .iter()
-                .map(|&(i, j)| {
-                    let (a, b) = (ids[i], ids[j]);
-                    // Canonicalize: resolve order need not be id order.
-                    if a < b {
-                        (a as u32, b as u32)
-                    } else {
-                        (b as u32, a as u32)
-                    }
-                })
-                .collect();
-            let req = ShardRequest::PairValues {
-                measure,
-                pairs: wire_pairs,
-            };
-            let (ok, down) = self.fan_out(&self.all_shards(), &req, acct)?;
-            if !down.is_empty() {
-                let list = down
-                    .iter()
-                    .map(|s| s.to_string())
-                    .collect::<Vec<_>>()
-                    .join(",");
-                return Err(CoordError::new(
-                    "UNAVAILABLE",
-                    format!("MEC pairwise needs every shard; shards {list} down"),
-                ));
-            }
-            let mut merged: Vec<Option<f64>> = vec![None; chunk.len()];
-            for (shard, resp) in ok {
-                let ShardResponse::MaybeValues(values) = resp else {
-                    return Err(wrong_shape(shard));
-                };
-                if values.len() != chunk.len() {
-                    return Err(wrong_shape(shard));
-                }
-                for (slot, value) in merged.iter_mut().zip(values) {
-                    if let Some(x) = value {
-                        *slot = Some(x);
-                    }
-                }
-            }
-            for (&(i, j), value) in chunk.iter().zip(merged) {
-                let Some(x) = value else {
-                    let (a, b) = (ids[i].min(ids[j]), ids[i].max(ids[j]));
-                    return Err(CoordError::from_ql(&QlError::Engine(format!(
-                        "no affine relationship stored for pair ({a}, {b})"
-                    ))));
-                };
-                matrix.set(i, j, x);
-                matrix.set(j, i, x);
-            }
-        }
-        Ok((
-            QueryOutput::PairMatrix {
-                labels: ids.iter().map(|&v| self.label(v)).collect(),
-                matrix,
-            },
-            Vec::new(),
-        ))
-    }
-
-    /// `EXPLAIN` rendering; mirrors the sharded
-    /// [`affinity_ql::Session`] plan strings with `k = plan.shards()`.
-    fn plan(&self, statement: &Statement) -> String {
-        let k = self.meta.plan.shards();
-        let sharded = format!("; merged across {k} shards");
-        match statement {
-            Statement::Explain(inner) => self.plan(inner),
-            Statement::Mec { measure, series } => format!(
-                "MEC {}: MecEngine (W_A) over {} series; pivot statistics from hash map, O(1) per value{}",
-                measure.name(),
-                series.len(),
-                "; routed to owning shard"
-            ),
-            Statement::Met { measure, .. } | Statement::Mer { measure, .. } => {
-                let kind = if matches!(statement, Statement::Met { .. }) {
-                    "MET"
-                } else {
-                    "MER"
-                };
-                if self.indexed(*measure) {
-                    format!(
-                        "{kind} {}: SCAPE index search with modified thresholds (tau' = tau/||alpha||){}{sharded}",
-                        measure.name(),
-                        if matches!(
-                            measure,
-                            Measure::Pairwise(p) if p.is_derived()
-                        ) {
-                            " + normalizer-bound pruning"
-                        } else {
-                            ""
-                        }
-                    )
-                } else {
-                    format!(
-                        "{kind} {}: full scan of W_A values (measure not indexed){sharded}",
-                        measure.name()
-                    )
-                }
-            }
-        }
-    }
+fn no_shard_reachable() -> CoordError {
+    CoordError::new("UNAVAILABLE", "no shard reachable".to_string())
 }
 
 fn wrong_shape(shard: usize) -> CoordError {

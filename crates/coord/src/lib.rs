@@ -20,14 +20,16 @@
 //! * [`remote`] — [`remote::RemoteShard`]: the TCP backend with
 //!   per-request deadlines, jittered exponential-backoff retries, and a
 //!   closed/open/half-open circuit breaker per shard.
-//! * [`coordinator`] — statement execution: parse with `affinity_ql`,
-//!   fan out to owner shards, merge with the *same* splice/merge
-//!   helpers the single-box model uses, and degrade gracefully — a
-//!   partial answer is always typed `DEGRADED <missing>`, never a
-//!   silent subset.
+//! * [`coordinator`] — statement execution: the `affinity_ql` planner
+//!   runs over the fleet, whose primitives fan out to owner shards,
+//!   merge with the *same* splice/merge helpers the single-box model
+//!   uses, and degrade gracefully — a partial answer is always typed
+//!   `DEGRADED <missing>`, never a silent subset.
 //! * [`supervisor`] — spawns shard-server children, detects death,
 //!   respawns with `--resume`, re-heals (catch-up ticks + plan check)
 //!   and only then readmits the shard's breaker.
+//! * [`lines`] — the bounded request-line reader every TCP front end
+//!   (this crate's and `affinity_serve`'s) shares.
 //! * [`server`] — the client-facing line protocol front-end and the
 //!   conservation ledger (`routed == merged + retried + degraded +
 //!   failed`) exposed via `.stats`.
@@ -37,6 +39,7 @@
 
 pub mod backend;
 pub mod coordinator;
+pub mod lines;
 pub mod proto;
 pub mod remote;
 pub mod server;
@@ -45,8 +48,9 @@ pub mod supervisor;
 
 pub use backend::{answer, AnswerError, BackendError, InProcBackend, ShardBackend};
 pub use coordinator::{CoordAnswer, CoordError, CoordMeta, Coordinator};
+pub use lines::MAX_LINE;
 pub use proto::{ProtoError, ShardMeta, ShardRequest, ShardResponse};
 pub use remote::{BreakerPolicy, CircuitBreaker, RemoteShard, RetryPolicy};
-pub use server::{CoordServer, MAX_LINE};
+pub use server::CoordServer;
 pub use stats::CoordStats;
 pub use supervisor::{launch, spawn_fleet, ShardSpec, Supervisor};

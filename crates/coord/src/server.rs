@@ -23,27 +23,21 @@
 //! .shutdown      graceful shutdown
 //! ```
 //!
-//! The reader is hardened against byte soup: lines over [`MAX_LINE`]
-//! are answered with a typed `PROTO` error and their tail swallowed,
-//! and an unterminated line at EOF is a typed error, not a silent drop.
+//! Requests are read by the shared [`crate::lines`] reader: lines over
+//! [`MAX_LINE`](crate::MAX_LINE) and unterminated lines at EOF are
+//! answered with one typed `PROTO` error each.
 
 use crate::backend::ShardBackend;
-use crate::coordinator::Coordinator;
+use crate::coordinator::{shard_list, Coordinator};
+use crate::lines::{accept_loop, bounded, one_line, Conn, LineHandler};
 use crate::remote::RemoteShard;
 use crate::stats::CoordStats;
-use parking_lot::{Mutex, RwLock};
-use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use parking_lot::RwLock;
+use std::net::TcpListener;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Longest accepted request line (matches the serve transport).
-pub const MAX_LINE: u64 = 64 * 1024;
-
-/// Poll interval for the accept loop and reader timeouts.
-const POLL: Duration = Duration::from_millis(50);
 
 /// Timeout for `.tick` fan-out control calls to shard servers (a tick
 /// recomputes models, so it is far slower than a query).
@@ -117,141 +111,15 @@ impl CoordServer {
     /// # Errors
     /// Listener failures.
     pub fn serve(self: &Arc<Self>, listener: TcpListener) -> std::io::Result<String> {
-        listener.set_nonblocking(true)?;
-        let mut readers = Vec::new();
-        while !self.is_shutting_down() {
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    let srv = Arc::clone(self);
-                    let spawned = std::thread::Builder::new()
-                        .name("affinity-coord-conn".into())
-                        .spawn(move || srv.reader_loop(stream));
-                    if let Ok(handle) = spawned {
-                        readers.push(handle);
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(POLL),
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => {
-                    self.request_shutdown();
-                    return Err(e);
-                }
-            }
-        }
+        let readers = accept_loop(self, &listener, "affinity-coord-conn")
+            .inspect_err(|_| self.request_shutdown())?;
         for r in readers {
             let _ = r.join();
         }
         Ok(self.stats().render())
     }
 
-    /// One connection: bounded line reads, typed `PROTO` rejection of
-    /// oversized or unterminated input, inline statement execution.
-    fn reader_loop(self: &Arc<Self>, stream: TcpStream) {
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(Some(POLL));
-        let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
-        let writer = match stream.try_clone() {
-            Ok(w) => w,
-            Err(_) => return,
-        };
-        let conn = Conn {
-            writer: Mutex::new(writer),
-            alive: AtomicBool::new(true),
-        };
-        let mut reader = BufReader::new(stream);
-        let mut buf = String::new();
-        // True while discarding the tail of an already-rejected
-        // oversized line.
-        let mut swallowing = false;
-        while !self.is_shutting_down() && conn.alive.load(Ordering::Acquire) {
-            match (&mut reader).take(MAX_LINE).read_line(&mut buf) {
-                Ok(0) => {
-                    if !buf.is_empty() && !swallowing {
-                        let id = line_id_prefix(&buf);
-                        self.reject_proto(&conn, &id, "unterminated line at EOF");
-                    }
-                    break;
-                }
-                Ok(_) => {
-                    if buf.ends_with('\n') {
-                        let line = std::mem::take(&mut buf);
-                        if swallowing {
-                            swallowing = false;
-                        } else {
-                            self.handle_line(line.trim(), &conn);
-                        }
-                    } else if buf.len() as u64 >= MAX_LINE {
-                        let id = line_id_prefix(&buf);
-                        self.reject_proto(&conn, &id, &format!("line exceeds {MAX_LINE} bytes"));
-                        buf.clear();
-                        swallowing = true;
-                    }
-                    // else: partial line, keep accumulating.
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => break,
-            }
-        }
-    }
-
-    /// A transport-level rejection still counts in the statement
-    /// ledger (`stmts == ok + degraded_answers + unavailable + errors`
-    /// must cover every request a client framed, however badly).
-    fn reject_proto(&self, conn: &Conn, id: &str, msg: &str) {
-        let stats = self.stats();
-        CoordStats::bump(&stats.stmts);
-        CoordStats::bump(&stats.errors);
-        conn.send(&format!("ERR {id} PROTO {msg}\n"));
-    }
-
-    fn handle_line(self: &Arc<Self>, line: &str, conn: &Conn) {
-        if line.is_empty() {
-            return;
-        }
-        if let Some(cmd) = line.strip_prefix('.') {
-            self.control(cmd, conn);
-            return;
-        }
-        let Some((id, statement)) = line.split_once(' ') else {
-            self.reject_proto(conn, &bounded(line), "expected '<id> <statement>'");
-            return;
-        };
-        // Hold the tick read lock across execution: `.tick` fan-outs
-        // (write lock) are serialized against in-flight statements, so
-        // no statement ever merges shards at different tick counts.
-        let ticks = self.ticks.read();
-        let result = catch_unwind(AssertUnwindSafe(|| self.coordinator.execute(statement)));
-        drop(ticks);
-        let response = match result {
-            Ok(Ok(answer)) => {
-                let text = answer.output.to_string();
-                let n = text.lines().count();
-                if answer.missing.is_empty() {
-                    format!("OK {id} {n}\n{text}")
-                } else {
-                    let missing = answer
-                        .missing
-                        .iter()
-                        .map(|s| s.to_string())
-                        .collect::<Vec<_>>()
-                        .join(",");
-                    format!("DEGRADED {id} {missing} {n}\n{text}")
-                }
-            }
-            Ok(Err(e)) => format!("ERR {id} {} {}\n", e.code, one_line(&e.message)),
-            Err(_) => {
-                // The coordinator must survive anything a shard feeds
-                // it; a panic is contained to the statement and typed.
-                let stats = self.stats();
-                CoordStats::bump(&stats.errors);
-                format!("ERR {id} INTERNAL statement execution panicked\n")
-            }
-        };
-        conn.send(&response);
-    }
-
-    fn control(self: &Arc<Self>, cmd: &str, conn: &Conn) {
+    fn control(&self, cmd: &str, conn: &Conn) {
         let parts: Vec<&str> = cmd.split_whitespace().collect();
         let reply = match parts.first().copied() {
             Some("ping") => "+pong\n".to_string(),
@@ -300,7 +168,7 @@ impl CoordServer {
     /// otherwise serve *stale* answers after an organic breaker
     /// re-close; shards that miss the fan-out are quarantined until the
     /// supervisor proves tick-parity).
-    fn fan_ticks(self: &Arc<Self>, k: u64) -> String {
+    fn fan_ticks(&self, k: u64) -> String {
         let mut ticks = self.ticks.write();
         let mut sent = 0usize;
         let mut quarantined = 0usize;
@@ -340,41 +208,59 @@ impl CoordServer {
     }
 }
 
-/// One connection's serialized writer.
-struct Conn {
-    writer: Mutex<TcpStream>,
-    alive: AtomicBool,
-}
+impl LineHandler for CoordServer {
+    fn stopping(&self) -> bool {
+        self.is_shutting_down()
+    }
 
-impl Conn {
-    fn send(&self, text: &str) {
-        if !self.alive.load(Ordering::Acquire) {
+    /// A transport-level rejection still counts in the statement
+    /// ledger (`stmts == ok + degraded_answers + unavailable + errors`
+    /// must cover every request a client framed, however badly).
+    fn reject(&self, conn: &Arc<Conn>, id: &str, msg: &str) {
+        let stats = self.stats();
+        CoordStats::bump(&stats.stmts);
+        CoordStats::bump(&stats.errors);
+        conn.send(&format!("ERR {id} PROTO {msg}\n"));
+    }
+
+    fn line(&self, conn: &Arc<Conn>, line: &str) {
+        if line.is_empty() {
             return;
         }
-        let mut stream = self.writer.lock();
-        // afflint: allow(lock-io) -- the writer mutex exists precisely to serialize one complete write per response; nothing else is held
-        if stream.write_all(text.as_bytes()).is_err() {
-            self.alive.store(false, Ordering::Release);
+        if let Some(cmd) = line.strip_prefix('.') {
+            self.control(cmd, conn);
+            return;
         }
-    }
-}
-
-/// Collapse a message to a single protocol-safe line.
-fn one_line(s: &str) -> String {
-    s.replace(['\n', '\r'], " ")
-}
-
-/// Clip untrusted echoed input to a short printable token.
-fn bounded(s: &str) -> String {
-    let clipped: String = s.chars().take(32).collect();
-    one_line(&clipped)
-}
-
-/// Best-effort response id for a line we refuse to parse fully: its
-/// first whitespace token, clipped; `?` when there is none.
-fn line_id_prefix(buf: &str) -> String {
-    match buf.split_whitespace().next() {
-        Some(tok) if !tok.is_empty() => bounded(tok),
-        _ => "?".to_string(),
+        let Some((id, statement)) = line.split_once(' ') else {
+            self.reject(conn, &bounded(line), "expected '<id> <statement>'");
+            return;
+        };
+        // Hold the tick read lock across execution: `.tick` fan-outs
+        // (write lock) are serialized against in-flight statements, so
+        // no statement ever merges shards at different tick counts.
+        let ticks = self.ticks.read();
+        let result = catch_unwind(AssertUnwindSafe(|| self.coordinator.execute(statement)));
+        drop(ticks);
+        let response = match result {
+            Ok(Ok(answer)) => {
+                let text = answer.output.to_string();
+                let n = text.lines().count();
+                if answer.missing.is_empty() {
+                    format!("OK {id} {n}\n{text}")
+                } else {
+                    let missing = shard_list(&answer.missing);
+                    format!("DEGRADED {id} {missing} {n}\n{text}")
+                }
+            }
+            Ok(Err(e)) => format!("ERR {id} {} {}\n", e.code, one_line(&e.message)),
+            Err(_) => {
+                // The coordinator must survive anything a shard feeds
+                // it; a panic is contained to the statement and typed.
+                let stats = self.stats();
+                CoordStats::bump(&stats.errors);
+                format!("ERR {id} INTERNAL statement execution panicked\n")
+            }
+        };
+        conn.send(&response);
     }
 }

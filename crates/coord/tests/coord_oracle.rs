@@ -80,6 +80,22 @@ fn statements() -> Vec<String> {
     stmts.push("MET correlation > 2.0".into());
     stmts.push("MET correlation < 2.0".into());
     stmts.push("MER mean BETWEEN -1e9 AND 1e9".into());
+    // Inputs that guard the merge: repeated and mixed-form location
+    // references, reversed and single-series pairwise requests, nested
+    // EXPLAIN, a degenerate range, and non-finite bounds.
+    for stmt in [
+        "MEC mean OF S3, S3, S0",
+        "MEC mean OF 17, S17",
+        "MEC covariance OF S17 S0",
+        "MEC correlation OF S1",
+        "EXPLAIN EXPLAIN MET correlation > 0.5",
+        "MER mean BETWEEN 5 AND 5",
+        "MET correlation > NaN",
+        "MER correlation BETWEEN NaN AND 1",
+        "MET mean > inf",
+    ] {
+        stmts.push(stmt.into());
+    }
     stmts
 }
 

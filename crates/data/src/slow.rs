@@ -124,6 +124,16 @@ struct ColumnGuard<'a> {
     cols: std::ops::Range<usize>,
 }
 
+impl ColumnGuard<'_> {
+    /// Release every still-held column up to and including `v`.
+    fn release_through(&mut self, v: SeriesId) {
+        while self.cols.start <= v && !self.cols.is_empty() {
+            self.in_column[self.cols.start].fetch_sub(1, Ordering::SeqCst);
+            self.cols.start += 1;
+        }
+    }
+}
+
 impl Drop for ColumnGuard<'_> {
     fn drop(&mut self) {
         for v in self.cols.clone() {
@@ -162,8 +172,15 @@ impl<B: ColumnRead> ColumnRead for SlowSource<B> {
         }
         // One delay for the whole contiguous region: batched readahead
         // pays the latency once.
-        let _guard = self.charge(first..end);
-        self.inner.read_column_range(first, count, sink)
+        let mut guard = self.charge(first..end);
+        // The `read_column_range` contract treats column `v` as
+        // delivered once its sink call begins (a cache may admit it and
+        // serve or even re-read it from inside the sink), so occupancy
+        // ends there, not when the whole range returns.
+        self.inner.read_column_range(first, count, &mut |v, col| {
+            guard.release_through(v);
+            sink(v, col);
+        })
     }
 }
 
@@ -243,6 +260,21 @@ mod tests {
             }
         });
         assert!(slow.same_column_overlap());
+    }
+
+    #[test]
+    fn range_read_releases_each_column_at_its_sink_call() {
+        let slow = SlowSource::new(matrix(), Duration::ZERO);
+        let mut buf = Vec::new();
+        slow.read_column_range(0, 2, &mut |v, _| {
+            if v == 0 {
+                slow.read_column(0, &mut buf).unwrap();
+                assert!(!slow.same_column_overlap(), "delivered column flagged");
+                slow.read_column(1, &mut buf).unwrap();
+                assert!(slow.same_column_overlap(), "undelivered column missed");
+            }
+        })
+        .unwrap();
     }
 
     #[test]

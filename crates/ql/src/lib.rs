@@ -17,10 +17,11 @@
 //! ident     := series label (e.g. STK42) or numeric id
 //! ```
 //!
-//! Execution goes through a [`Session`], which plans each statement:
-//! MET/MER use the SCAPE index when the measure was indexed and fall
-//! back to the affine (`W_A`) executor otherwise; MEC always uses the
-//! MEC engine.
+//! One planner ([`plan`]) serves every model: MET/MER use the SCAPE
+//! index when the measure was indexed and fall back to the affine
+//! (`W_A`) executor otherwise; MEC always uses the MEC engine. A
+//! [`Session`] runs it over a local model; the distributed coordinator
+//! runs it over its fleet through [`QueryModel`].
 //!
 //! ```
 //! use affinity_core::prelude::*;
@@ -39,8 +40,10 @@
 
 pub mod cancel;
 mod parser;
+pub mod plan;
 mod session;
 
 pub use cancel::{CancelCause, CancelToken};
 pub use parser::{parse, MeasureName, ParseError, Statement};
+pub use plan::{Filter, QueryModel};
 pub use session::{series_labels, QlError, QueryOutput, Session};

@@ -1,13 +1,16 @@
-//! Query execution: plan parsed statements against the framework.
+//! Query sessions: the local models statements run on — one global
+//! engine + index, or a sharded model — behind the one planner in
+//! [`crate::plan`].
 
-use crate::cancel::{CancelCause, CancelToken};
+use crate::cancel::CancelToken;
 use crate::parser::{parse, ParseError, Statement};
+use crate::plan::{self, cancel_error, Filter, QueryModel};
 use affinity_core::measures::{LocationMeasure, Measure, PairwiseMeasure};
 use affinity_core::mec::MecEngine;
 use affinity_core::symex::AffineSet;
 use affinity_data::{DataMatrix, SequencePair, SeriesId, SeriesSource};
 use affinity_linalg::Matrix;
-use affinity_scape::{ScapeError, ScapeIndex, ThresholdOp};
+use affinity_scape::{ScapeError, ScapeIndex};
 use affinity_shard::ShardedModel;
 use affinity_stream::PersistedModel;
 use std::fmt;
@@ -167,27 +170,30 @@ impl fmt::Display for QueryOutput {
 /// what makes [`Session::from_source`] (fully out-of-core construction)
 /// possible.
 ///
-/// A session answers from one of two backends: a **global** model (one
+/// A session answers from one of two models: a **global** model (one
 /// MEC engine + one SCAPE index) or a borrowed **sharded** model
 /// ([`Session::from_sharded`]), whose cross-shard merge layer returns
-/// answers bit-identical to the global backend's.
+/// answers bit-identical to the global model's.
 pub struct Session<'a> {
     labels: Vec<String>,
-    backend: Backend<'a>,
+    model: Local<'a>,
 }
 
-/// The model a session answers from.
-enum Backend<'a> {
-    /// The monolithic path: one engine, one index. The index is boxed
-    /// to keep the enum near the size of its slimmest variant.
-    Global {
-        engine: MecEngine<'a>,
-        index: Box<ScapeIndex>,
-    },
-    /// The sharded path: per-shard engines/indexes behind the exact
-    /// merge layer. Borrowed, so one resident model can serve many
-    /// sessions.
+/// The local model a session answers from. An enum rather than a boxed
+/// `dyn QueryModel`: a trait object's drop is assumed to touch its
+/// borrow, so callers could no longer move the affine set a session
+/// borrows once the session's last use has passed.
+enum Local<'a> {
+    Global(Global<'a>),
+    /// Borrowed, so one resident model can serve many sessions.
     Sharded(&'a ShardedModel),
+}
+
+/// The monolithic model: one engine, one index.
+struct Global<'a> {
+    engine: MecEngine<'a>,
+    /// Boxed to keep `Local` near the size of its slimmest variant.
+    index: Box<ScapeIndex>,
 }
 
 impl<'a> Session<'a> {
@@ -237,7 +243,7 @@ impl<'a> Session<'a> {
         }
         Ok(Session {
             labels,
-            backend: Backend::Global {
+            model: Local::Global(Global {
                 engine: MecEngine::from_source(source, affine)
                     .map_err(|e| QlError::Engine(e.to_string()))?,
                 index: Box::new(
@@ -249,7 +255,7 @@ impl<'a> Session<'a> {
                     )
                     .map_err(|e| QlError::Engine(e.to_string()))?,
                 ),
-            },
+            }),
         })
     }
 
@@ -266,7 +272,7 @@ impl<'a> Session<'a> {
     pub fn from_sharded(model: &'a ShardedModel, labels: Vec<String>) -> Result<Self, QlError> {
         Ok(Session {
             labels: series_labels(labels, model.series_count()).map_err(QlError::Engine)?,
-            backend: Backend::Sharded(model),
+            model: Local::Sharded(model),
         })
     }
 
@@ -287,10 +293,10 @@ impl<'a> Session<'a> {
     pub fn open_snapshot(model: &'a PersistedModel, labels: Vec<String>) -> Result<Self, QlError> {
         Ok(Session {
             labels: series_labels(labels, model.affine.series_count()).map_err(QlError::Engine)?,
-            backend: Backend::Global {
+            model: Local::Global(Global {
                 engine: MecEngine::new(&model.data, &model.affine),
                 index: Box::new(model.index.clone()),
-            },
+            }),
         })
     }
 
@@ -314,44 +320,11 @@ impl<'a> Session<'a> {
     ) -> Result<Self, QlError> {
         Ok(Session {
             labels: series_labels(labels, affine.series_count()).map_err(QlError::Engine)?,
-            backend: Backend::Global {
+            model: Local::Global(Global {
                 engine: MecEngine::new(data, affine),
                 index: Box::new(index),
-            },
+            }),
         })
-    }
-
-    /// Resolve a series reference: exact label match first, then numeric
-    /// id.
-    fn resolve(&self, reference: &str) -> Result<SeriesId, QlError> {
-        for (v, label) in self.labels.iter().enumerate() {
-            if label == reference {
-                return Ok(v);
-            }
-        }
-        if let Ok(id) = reference.parse::<usize>() {
-            if id < self.labels.len() {
-                return Ok(id);
-            }
-        }
-        Err(QlError::UnknownSeries(reference.to_string()))
-    }
-
-    fn label(&self, v: SeriesId) -> String {
-        // Ids come back from the engine, but label rendering must not be
-        // able to panic on a stale or corrupt id — fall back to the
-        // numeric form instead.
-        self.labels
-            .get(v)
-            .cloned()
-            .unwrap_or_else(|| format!("series-{v}"))
-    }
-
-    fn pair_labels(&self, pairs: Vec<SequencePair>) -> Vec<(String, String)> {
-        pairs
-            .into_iter()
-            .map(|p| (self.label(p.u), self.label(p.v)))
-            .collect()
     }
 
     /// Parse and execute one statement.
@@ -359,7 +332,7 @@ impl<'a> Session<'a> {
     /// # Errors
     /// See [`QlError`].
     pub fn execute(&self, query: &str) -> Result<QueryOutput, QlError> {
-        self.run(parse(query)?)
+        self.execute_with(query, &CancelToken::new())
     }
 
     /// Parse and execute one statement under a [`CancelToken`]: long
@@ -381,143 +354,6 @@ impl<'a> Session<'a> {
         self.run_with(statement, &CancelToken::new())
     }
 
-    /// Translate the token's cause into the matching typed error.
-    fn cancel_error(token: &CancelToken) -> QlError {
-        match token.cause() {
-            Some(CancelCause::DeadlineExceeded) => QlError::DeadlineExceeded,
-            _ => QlError::Cancelled,
-        }
-    }
-
-    /// Map an index error, routing [`ScapeError::Cancelled`] to the
-    /// token's cause and everything else to [`QlError::Engine`].
-    fn map_scape(e: ScapeError, token: &CancelToken) -> QlError {
-        match e {
-            ScapeError::Cancelled => Self::cancel_error(token),
-            other => QlError::Engine(other.to_string()),
-        }
-    }
-
-    // --- Backend dispatch ------------------------------------------
-    //
-    // Each helper forwards one query primitive to whichever backend the
-    // session holds; the sharded merge layer's answers are bit-identical
-    // to the global backend's, so planning above this line is
-    // backend-oblivious.
-
-    /// `true` when the backend's index covers `measure`.
-    fn indexed(&self, measure: Measure) -> bool {
-        match &self.backend {
-            Backend::Global { index, .. } => index.supports(measure),
-            Backend::Sharded(m) => m.supports(measure),
-        }
-    }
-
-    /// Shard count when sharded (used only by `EXPLAIN` rendering).
-    fn shard_count(&self) -> Option<usize> {
-        match &self.backend {
-            Backend::Global { .. } => None,
-            Backend::Sharded(m) => Some(m.plan().shards()),
-        }
-    }
-
-    fn location_values(
-        &self,
-        measure: LocationMeasure,
-        ids: &[SeriesId],
-    ) -> Result<Vec<f64>, QlError> {
-        match &self.backend {
-            Backend::Global { engine, .. } => engine.location(measure, ids),
-            Backend::Sharded(m) => m.location(measure, ids),
-        }
-        .map_err(|e| QlError::Engine(e.to_string()))
-    }
-
-    fn pairwise_matrix(
-        &self,
-        measure: PairwiseMeasure,
-        ids: &[SeriesId],
-    ) -> Result<Matrix, QlError> {
-        match &self.backend {
-            Backend::Global { engine, .. } => engine.pairwise(measure, ids),
-            Backend::Sharded(m) => m.pairwise(measure, ids),
-        }
-        .map_err(|e| QlError::Engine(e.to_string()))
-    }
-
-    fn threshold_pairs(
-        &self,
-        measure: PairwiseMeasure,
-        op: ThresholdOp,
-        tau: f64,
-        token: &CancelToken,
-    ) -> Result<Vec<SequencePair>, QlError> {
-        let stop = || token.should_stop();
-        match &self.backend {
-            Backend::Global { index, .. } => index.threshold_pairs_with(measure, op, tau, &stop),
-            Backend::Sharded(m) => m.threshold_pairs_with(measure, op, tau, &stop),
-        }
-        .map_err(|e| Self::map_scape(e, token))
-    }
-
-    fn range_pairs(
-        &self,
-        measure: PairwiseMeasure,
-        lo: f64,
-        hi: f64,
-        token: &CancelToken,
-    ) -> Result<Vec<SequencePair>, QlError> {
-        let stop = || token.should_stop();
-        match &self.backend {
-            Backend::Global { index, .. } => index.range_pairs_with(measure, lo, hi, &stop),
-            Backend::Sharded(m) => m.range_pairs_with(measure, lo, hi, &stop),
-        }
-        .map_err(|e| Self::map_scape(e, token))
-    }
-
-    fn threshold_series_indexed(
-        &self,
-        measure: LocationMeasure,
-        op: ThresholdOp,
-        tau: f64,
-    ) -> Result<Vec<SeriesId>, QlError> {
-        match &self.backend {
-            Backend::Global { index, .. } => index.threshold_series(measure, op, tau),
-            Backend::Sharded(m) => m.threshold_series(measure, op, tau),
-        }
-        .map_err(|e| QlError::Engine(e.to_string()))
-    }
-
-    fn range_series_indexed(
-        &self,
-        measure: LocationMeasure,
-        lo: f64,
-        hi: f64,
-    ) -> Result<Vec<SeriesId>, QlError> {
-        match &self.backend {
-            Backend::Global { index, .. } => index.range_series(measure, lo, hi),
-            Backend::Sharded(m) => m.range_series(measure, lo, hi),
-        }
-        .map_err(|e| QlError::Engine(e.to_string()))
-    }
-
-    /// One pairwise value for the fallback scan; errors mean "drop the
-    /// pair", matching the global scan's behavior.
-    fn scan_pair_value(&self, measure: PairwiseMeasure, pair: SequencePair) -> Option<f64> {
-        match &self.backend {
-            Backend::Global { engine, .. } => engine.pair_value(measure, pair).ok(),
-            Backend::Sharded(m) => m.pair_value(measure, pair).ok(),
-        }
-    }
-
-    /// One location value for the fallback scan.
-    fn scan_location_value(&self, measure: LocationMeasure, v: SeriesId) -> Option<f64> {
-        match &self.backend {
-            Backend::Global { engine, .. } => engine.location_value(measure, v).ok(),
-            Backend::Sharded(m) => m.location_value(measure, v).ok(),
-        }
-    }
-
     /// Execute a pre-parsed statement under a [`CancelToken`]; see
     /// [`execute_with`](Session::execute_with).
     ///
@@ -528,193 +364,221 @@ impl<'a> Session<'a> {
         statement: Statement,
         token: &CancelToken,
     ) -> Result<QueryOutput, QlError> {
+        match &self.model {
+            Local::Global(model) => plan::run(model, &self.labels, statement, token),
+            Local::Sharded(model) => plan::run(model, &self.labels, statement, token),
+        }
+    }
+}
+
+/// Map an index error, routing [`ScapeError::Cancelled`] to the token's
+/// cause and everything else to [`QlError::Engine`].
+fn scape_error(e: ScapeError, token: &CancelToken) -> QlError {
+    match e {
+        ScapeError::Cancelled => cancel_error(token),
+        other => QlError::Engine(other.to_string()),
+    }
+}
+
+fn engine_error(e: impl fmt::Display) -> QlError {
+    QlError::Engine(e.to_string())
+}
+
+/// Fallback plan over a local model: filter `W_A` values over all pairs
+/// of `n` series, polling the token once per anchor row. A pair whose
+/// value errors is dropped rather than panicking mid-query.
+fn scan_pairs(
+    n: usize,
+    value: impl Fn(SequencePair) -> Option<f64>,
+    filter: Filter,
+    token: &CancelToken,
+) -> Result<Vec<SequencePair>, QlError> {
+    let mut out = Vec::new();
+    for u in 0..n {
         if token.should_stop() {
-            return Err(Self::cancel_error(token));
+            return Err(cancel_error(token));
         }
-        match statement {
-            Statement::Explain(inner) => Ok(QueryOutput::Plan(self.plan(&inner))),
-            Statement::Mec { measure, series } => {
-                let ids: Vec<SeriesId> = series
-                    .iter()
-                    .map(|s| self.resolve(s))
-                    .collect::<Result<_, _>>()?;
-                match measure {
-                    Measure::Location(l) => {
-                        let values = self.location_values(l, &ids)?;
-                        Ok(QueryOutput::Values(
-                            ids.iter()
-                                .zip(values)
-                                .map(|(&v, x)| (self.label(v), x))
-                                .collect(),
-                        ))
-                    }
-                    Measure::Pairwise(p) => Ok(QueryOutput::PairMatrix {
-                        labels: ids.iter().map(|&v| self.label(v)).collect(),
-                        matrix: self.pairwise_matrix(p, &ids)?,
-                    }),
-                }
-            }
-            Statement::Met {
-                measure,
-                greater,
-                tau,
-            } => {
-                let op = if greater {
-                    ThresholdOp::Greater
-                } else {
-                    ThresholdOp::Less
-                };
-                match measure {
-                    Measure::Pairwise(p) => {
-                        let pairs = if self.indexed(measure) {
-                            self.threshold_pairs(p, op, tau, token)?
-                        } else {
-                            self.scan_pairs(
-                                p,
-                                |v| match op {
-                                    ThresholdOp::Greater => v > tau,
-                                    ThresholdOp::Less => v < tau,
-                                },
-                                token,
-                            )?
-                        };
-                        Ok(QueryOutput::Pairs(self.pair_labels(pairs)))
-                    }
-                    Measure::Location(l) => {
-                        let series = if self.indexed(measure) {
-                            self.threshold_series_indexed(l, op, tau)?
-                        } else {
-                            self.scan_series(
-                                l,
-                                |v| match op {
-                                    ThresholdOp::Greater => v > tau,
-                                    ThresholdOp::Less => v < tau,
-                                },
-                                token,
-                            )?
-                        };
-                        Ok(QueryOutput::Series(
-                            series.into_iter().map(|v| self.label(v)).collect(),
-                        ))
-                    }
-                }
-            }
-            Statement::Mer { measure, lo, hi } => {
-                if lo > hi {
-                    return Err(QlError::EmptyRange { lo, hi });
-                }
-                match measure {
-                    Measure::Pairwise(p) => {
-                        let pairs = if self.indexed(measure) {
-                            self.range_pairs(p, lo, hi, token)?
-                        } else {
-                            self.scan_pairs(p, |v| lo < v && v < hi, token)?
-                        };
-                        Ok(QueryOutput::Pairs(self.pair_labels(pairs)))
-                    }
-                    Measure::Location(l) => {
-                        let series = if self.indexed(measure) {
-                            self.range_series_indexed(l, lo, hi)?
-                        } else {
-                            self.scan_series(l, |v| lo < v && v < hi, token)?
-                        };
-                        Ok(QueryOutput::Series(
-                            series.into_iter().map(|v| self.label(v)).collect(),
-                        ))
-                    }
-                }
+        for v in u + 1..n {
+            let p = SequencePair::new(u, v);
+            if value(p).is_some_and(|x| filter.keep(x)) {
+                out.push(p);
             }
         }
     }
+    Ok(out)
+}
 
-    /// Describe how a statement would execute (the `EXPLAIN` output).
-    fn plan(&self, statement: &Statement) -> String {
-        // Rendered once so every plan line says when a cross-shard
-        // merge participates in the answer.
-        let sharded = self
-            .shard_count()
-            .map(|k| format!("; merged across {k} shards"))
-            .unwrap_or_default();
-        match statement {
-            Statement::Explain(inner) => self.plan(inner),
-            Statement::Mec { measure, series } => format!(
-                "MEC {}: MecEngine (W_A) over {} series; pivot statistics from hash map, O(1) per value{}",
-                measure.name(),
-                series.len(),
-                if self.shard_count().is_some() {
-                    "; routed to owning shard"
-                } else {
-                    ""
-                }
-            ),
-            Statement::Met { measure, .. } | Statement::Mer { measure, .. } => {
-                let kind = if matches!(statement, Statement::Met { .. }) {
-                    "MET"
-                } else {
-                    "MER"
-                };
-                if self.indexed(*measure) {
-                    format!(
-                        "{kind} {}: SCAPE index search with modified thresholds (tau' = tau/||alpha||){}{sharded}",
-                        measure.name(),
-                        if matches!(
-                            measure,
-                            Measure::Pairwise(p) if p.is_derived()
-                        ) {
-                            " + normalizer-bound pruning"
-                        } else {
-                            ""
-                        }
-                    )
-                } else {
-                    format!(
-                        "{kind} {}: full scan of W_A values (measure not indexed){sharded}",
-                        measure.name()
-                    )
-                }
-            }
-        }
+/// Fallback plan over a local model: filter `W_A` values over all
+/// series.
+fn scan_series(
+    n: usize,
+    value: impl Fn(SeriesId) -> Option<f64>,
+    filter: Filter,
+    token: &CancelToken,
+) -> Result<Vec<SeriesId>, QlError> {
+    if token.should_stop() {
+        return Err(cancel_error(token));
+    }
+    Ok((0..n)
+        .filter(|&v| value(v).is_some_and(|x| filter.keep(x)))
+        .collect())
+}
+
+impl QueryModel for Global<'_> {
+    type Error = QlError;
+
+    fn indexed(&self, measure: Measure) -> bool {
+        self.index.supports(measure)
     }
 
-    /// Fallback plan: filter `W_A` values over all pairs, polling the
-    /// token once per anchor row.
+    fn shards(&self) -> Option<usize> {
+        None
+    }
+
+    fn location(
+        &self,
+        measure: LocationMeasure,
+        ids: &[SeriesId],
+    ) -> Result<Vec<Option<f64>>, QlError> {
+        let values = self.engine.location(measure, ids).map_err(engine_error)?;
+        Ok(values.into_iter().map(Some).collect())
+    }
+
+    fn pairwise(&self, measure: PairwiseMeasure, ids: &[SeriesId]) -> Result<Matrix, QlError> {
+        self.engine.pairwise(measure, ids).map_err(engine_error)
+    }
+
+    fn search_pairs(
+        &self,
+        measure: PairwiseMeasure,
+        filter: Filter,
+        token: &CancelToken,
+    ) -> Result<Vec<SequencePair>, QlError> {
+        let stop = || token.should_stop();
+        match filter {
+            Filter::Threshold { op, tau } => {
+                self.index.threshold_pairs_with(measure, op, tau, &stop)
+            }
+            Filter::Range { lo, hi } => self.index.range_pairs_with(measure, lo, hi, &stop),
+        }
+        .map_err(|e| scape_error(e, token))
+    }
+
+    fn search_series(
+        &self,
+        measure: LocationMeasure,
+        filter: Filter,
+        token: &CancelToken,
+    ) -> Result<Vec<SeriesId>, QlError> {
+        match filter {
+            Filter::Threshold { op, tau } => self.index.threshold_series(measure, op, tau),
+            Filter::Range { lo, hi } => self.index.range_series(measure, lo, hi),
+        }
+        .map_err(|e| scape_error(e, token))
+    }
+
     fn scan_pairs(
         &self,
         measure: PairwiseMeasure,
-        keep: impl Fn(f64) -> bool,
+        filter: Filter,
         token: &CancelToken,
     ) -> Result<Vec<SequencePair>, QlError> {
-        let n = self.labels.len();
-        let mut out = Vec::new();
-        for u in 0..n {
-            if token.should_stop() {
-                return Err(Self::cancel_error(token));
-            }
-            for v in u + 1..n {
-                let p = SequencePair::new(u, v);
-                // A full-set engine answers every pair; if it ever does
-                // not, drop the pair rather than panic mid-query.
-                if self.scan_pair_value(measure, p).is_some_and(&keep) {
-                    out.push(p);
-                }
-            }
-        }
-        Ok(out)
+        let n = self.engine.affine().series_count();
+        scan_pairs(
+            n,
+            |p| self.engine.pair_value(measure, p).ok(),
+            filter,
+            token,
+        )
     }
 
-    /// Fallback plan: filter `W_A` values over all series.
     fn scan_series(
         &self,
         measure: LocationMeasure,
-        keep: impl Fn(f64) -> bool,
+        filter: Filter,
         token: &CancelToken,
     ) -> Result<Vec<SeriesId>, QlError> {
-        if token.should_stop() {
-            return Err(Self::cancel_error(token));
+        let n = self.engine.affine().series_count();
+        scan_series(
+            n,
+            |v| self.engine.location_value(measure, v).ok(),
+            filter,
+            token,
+        )
+    }
+}
+
+/// The sharded model: the merge layer's answers are bit-identical to
+/// the global model's, so the same plan runs on both.
+impl QueryModel for &ShardedModel {
+    type Error = QlError;
+
+    fn indexed(&self, measure: Measure) -> bool {
+        self.supports(measure)
+    }
+
+    fn shards(&self) -> Option<usize> {
+        Some(self.plan().shards())
+    }
+
+    fn location(
+        &self,
+        measure: LocationMeasure,
+        ids: &[SeriesId],
+    ) -> Result<Vec<Option<f64>>, QlError> {
+        let values = ShardedModel::location(self, measure, ids).map_err(engine_error)?;
+        Ok(values.into_iter().map(Some).collect())
+    }
+
+    fn pairwise(&self, measure: PairwiseMeasure, ids: &[SeriesId]) -> Result<Matrix, QlError> {
+        ShardedModel::pairwise(self, measure, ids).map_err(engine_error)
+    }
+
+    fn search_pairs(
+        &self,
+        measure: PairwiseMeasure,
+        filter: Filter,
+        token: &CancelToken,
+    ) -> Result<Vec<SequencePair>, QlError> {
+        let stop = || token.should_stop();
+        match filter {
+            Filter::Threshold { op, tau } => self.threshold_pairs_with(measure, op, tau, &stop),
+            Filter::Range { lo, hi } => self.range_pairs_with(measure, lo, hi, &stop),
         }
-        Ok((0..self.labels.len())
-            .filter(|&v| self.scan_location_value(measure, v).is_some_and(&keep))
-            .collect())
+        .map_err(|e| scape_error(e, token))
+    }
+
+    fn search_series(
+        &self,
+        measure: LocationMeasure,
+        filter: Filter,
+        token: &CancelToken,
+    ) -> Result<Vec<SeriesId>, QlError> {
+        match filter {
+            Filter::Threshold { op, tau } => self.threshold_series(measure, op, tau),
+            Filter::Range { lo, hi } => self.range_series(measure, lo, hi),
+        }
+        .map_err(|e| scape_error(e, token))
+    }
+
+    fn scan_pairs(
+        &self,
+        measure: PairwiseMeasure,
+        filter: Filter,
+        token: &CancelToken,
+    ) -> Result<Vec<SequencePair>, QlError> {
+        let n = self.series_count();
+        scan_pairs(n, |p| self.pair_value(measure, p).ok(), filter, token)
+    }
+
+    fn scan_series(
+        &self,
+        measure: LocationMeasure,
+        filter: Filter,
+        token: &CancelToken,
+    ) -> Result<Vec<SeriesId>, QlError> {
+        let n = self.series_count();
+        scan_series(n, |v| self.location_value(measure, v).ok(), filter, token)
     }
 }
 

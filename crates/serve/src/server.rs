@@ -32,6 +32,7 @@
 use crate::epoch::{EpochCell, ModelEpoch};
 use crate::fault::{FaultPlan, ServeFault};
 use crate::queue::{Admission, AdmissionQueue, QueuePolicy, ServeStats};
+use affinity_coord::lines::{accept_loop, bounded, one_line, Conn, LineHandler, POLL};
 use affinity_coord::proto::{decode_request, encode_response, ShardRequest};
 use affinity_core::measures::Measure;
 use affinity_data::DataMatrix;
@@ -40,20 +41,11 @@ use affinity_ql::{CancelToken, QlError};
 use affinity_shard::{ShardError, ShardPlan, ShardedModel};
 use affinity_stream::{Model, RefreshKind, StreamError, StreamingEngine};
 use parking_lot::Mutex;
-use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Longest accepted request line; longer input is answered `PROTO`
-/// piecewise instead of growing an unbounded buffer.
-const MAX_LINE: u64 = 64 * 1024;
-
-/// Poll interval for the accept loop and reader timeouts: bounds how
-/// long shutdown waits on an idle socket.
-const POLL: Duration = Duration::from_millis(50);
 
 /// Shard-server mode: this process serves one shard of a `K`-shard
 /// fleet. Epochs are published as [`ShardedModel`]s (cut with
@@ -161,33 +153,6 @@ impl From<QlError> for ServeError {
 impl From<ShardError> for ServeError {
     fn from(e: ShardError) -> Self {
         ServeError::Shard(e)
-    }
-}
-
-/// One connection's response half: workers and the reader share it, so
-/// every response is a single locked write of a complete message.
-struct Conn {
-    writer: Mutex<TcpStream>,
-    alive: AtomicBool,
-}
-
-impl Conn {
-    /// Write one complete response (must be newline-terminated). A
-    /// failed or timed-out write marks the connection dead; subsequent
-    /// responses to it are dropped (the requests still count in the
-    /// ledger).
-    fn send(&self, faults: &FaultPlan, text: &str) {
-        if !self.alive.load(Ordering::Acquire) {
-            return;
-        }
-        let mut stream = self.writer.lock();
-        if let Some(stall) = faults.stall_writer() {
-            std::thread::sleep(stall);
-        }
-        // afflint: allow(lock-io) -- the writer mutex exists precisely to serialize this one complete write per response; no other lock is held and readers never block on it
-        if stream.write_all(text.as_bytes()).is_err() {
-            self.alive.store(false, Ordering::Release);
-        }
     }
 }
 
@@ -305,8 +270,6 @@ impl Server {
     /// [`ServeError::Io`] on listener failures,
     /// [`ServeError::Stream`] if the final checkpoint fails.
     pub fn serve(self: &Arc<Self>, listener: TcpListener) -> Result<String, ServeError> {
-        listener.set_nonblocking(true)?;
-
         // Worker lanes: a dedicated pool broadcast, one drain loop per
         // lane, hosted on one coordinator thread.
         let lanes = self.cfg.workers.max(1);
@@ -341,31 +304,9 @@ impl Server {
             None => None,
         };
 
-        let mut readers = Vec::new();
-        while !self.is_shutting_down() {
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    let srv = Arc::clone(self);
-                    let spawned = std::thread::Builder::new()
-                        .name("affinity-serve-conn".into())
-                        .spawn(move || srv.reader_loop(stream));
-                    // On thread exhaustion: shed this connection (the
-                    // stream drops and closes) but keep serving the
-                    // ones we already have.
-                    if let Ok(handle) = spawned {
-                        readers.push(handle);
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(POLL),
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => {
-                    self.request_shutdown();
-                    // Drain before surfacing the listener failure.
-                    let _ = coordinator.join();
-                    return Err(ServeError::Io(e));
-                }
-            }
-        }
+        // A listener failure shuts down too, and surfaces after the drain.
+        let readers = accept_loop(self, &listener, "affinity-serve-conn")
+            .inspect_err(|_| self.request_shutdown());
 
         // Drain: the queue is closed (request_shutdown), workers exit
         // when the backlog is empty, readers exit on the flag.
@@ -374,7 +315,7 @@ impl Server {
                 "worker coordinator panicked",
             )));
         }
-        for r in readers {
+        for r in readers? {
             let _ = r.join();
         }
         if let Some(c) = churn {
@@ -387,14 +328,7 @@ impl Server {
         }
         let ticks = engine.window().ticks();
         drop(engine);
-        Ok(format!(
-            "{} ticks={ticks}",
-            self.stats.render(
-                self.queue.depth(),
-                self.queue.high_water(),
-                self.cell.published()
-            )
-        ))
+        Ok(format!("{} ticks={ticks}", self.ledger()))
     }
 
     /// One worker lane: drain admitted requests until close + empty.
@@ -411,8 +345,8 @@ impl Server {
         if let Some(deadline) = req.deadline {
             if Instant::now() >= deadline {
                 ServeStats::bump(&self.stats.done_deadline);
-                req.conn.send(
-                    &self.faults,
+                self.send(
+                    &req.conn,
                     &format!("ERR {} DEADLINE queued past deadline\n", req.id),
                 );
                 return;
@@ -453,7 +387,7 @@ impl Server {
                 format!("ERR {} INTERNAL query execution panicked\n", req.id)
             }
         };
-        req.conn.send(&self.faults, &response);
+        self.send(&req.conn, &response);
     }
 
     /// Answer one coordinator shard request (`!`-prefixed statement)
@@ -462,8 +396,8 @@ impl Server {
     fn process_shard(&self, req: &Request, epoch: &ModelEpoch) {
         let Some(model) = epoch.sharded() else {
             ServeStats::bump(&self.stats.done_err);
-            req.conn.send(
-                &self.faults,
+            self.send(
+                &req.conn,
                 &format!(
                     "ERR {} PROTO shard requests need a shard server (--shard)\n",
                     req.id
@@ -473,8 +407,8 @@ impl Server {
         };
         if epoch.is_poisoned() {
             ServeStats::bump(&self.stats.done_err);
-            req.conn.send(
-                &self.faults,
+            self.send(
+                &req.conn,
                 &format!("ERR {} INTERNAL epoch poisoned (injected fault)\n", req.id),
             );
             return;
@@ -483,8 +417,8 @@ impl Server {
             Ok(r) => r,
             Err(e) => {
                 ServeStats::bump(&self.stats.done_err);
-                req.conn.send(
-                    &self.faults,
+                self.send(
+                    &req.conn,
                     &format!("ERR {} PROTO {}\n", req.id, one_line(&e.to_string())),
                 );
                 return;
@@ -525,7 +459,7 @@ impl Server {
                 format!("ERR {} INTERNAL shard request panicked\n", req.id)
             }
         };
-        req.conn.send(&self.faults, &response);
+        self.send(&req.conn, &response);
     }
 
     /// Ingest `count` deterministic replay ticks; publish a new epoch
@@ -567,123 +501,18 @@ impl Server {
         Ok(id)
     }
 
-    /// One connection: accumulate lines (partial reads survive the poll
-    /// timeout), answer control commands inline, admit queries.
-    fn reader_loop(self: &Arc<Self>, stream: TcpStream) {
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(Some(POLL));
-        // A stalled client bounds a worker's write at this, not forever.
-        let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
-        let writer = match stream.try_clone() {
-            Ok(w) => w,
-            Err(_) => return,
-        };
-        let conn = Arc::new(Conn {
-            writer: Mutex::new(writer),
-            alive: AtomicBool::new(true),
+    /// Write one response to `conn`, stalled under its writer lock
+    /// while a `stall-writer` fault is armed.
+    fn send(&self, conn: &Conn, text: &str) {
+        conn.send_after(text, || {
+            if let Some(stall) = self.faults.stall_writer() {
+                std::thread::sleep(stall);
+            }
         });
-        let mut reader = BufReader::new(stream);
-        let mut buf = String::new();
-        // After rejecting an oversized line, swallow bytes up to its
-        // newline instead of parsing the tail as a fresh request.
-        let mut swallowing = false;
-        while !self.is_shutting_down() && conn.alive.load(Ordering::Acquire) {
-            match (&mut reader).take(MAX_LINE).read_line(&mut buf) {
-                Ok(0) => {
-                    // EOF with an unterminated partial line: a typed
-                    // rejection, never a silent drop.
-                    if !buf.is_empty() && !swallowing {
-                        self.reject_proto(&conn, &line_id_prefix(&buf), "unterminated line at EOF");
-                    }
-                    break;
-                }
-                Ok(_) => {
-                    if buf.ends_with('\n') {
-                        let line = std::mem::take(&mut buf);
-                        if swallowing {
-                            swallowing = false; // discarded tail of a rejected line
-                        } else {
-                            self.handle_line(line.trim(), &conn);
-                        }
-                    } else if buf.len() as u64 >= MAX_LINE {
-                        let id = line_id_prefix(&buf);
-                        buf.clear();
-                        if !swallowing {
-                            swallowing = true;
-                            self.reject_proto(
-                                &conn,
-                                &id,
-                                &format!("line exceeds {MAX_LINE} bytes"),
-                            );
-                        }
-                    }
-                    // else: partial line, keep accumulating.
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => break,
-            }
-        }
-    }
-
-    /// Count and answer a transport-level protocol rejection: the raw
-    /// line never becomes a request, but it still lands in the ledger
-    /// (`received` + `rejected`) and gets a typed `ERR ... PROTO`.
-    fn reject_proto(&self, conn: &Arc<Conn>, id: &str, msg: &str) {
-        ServeStats::bump(&self.stats.received);
-        ServeStats::bump(&self.stats.rejected);
-        conn.send(&self.faults, &format!("ERR {id} PROTO {msg}\n"));
-    }
-
-    /// Dispatch one complete request line.
-    fn handle_line(self: &Arc<Self>, line: &str, conn: &Arc<Conn>) {
-        if line.is_empty() {
-            return;
-        }
-        if let Some(cmd) = line.strip_prefix('.') {
-            self.control(cmd, conn);
-            return;
-        }
-        ServeStats::bump(&self.stats.received);
-        let Some((id, statement)) = line.split_once(' ') else {
-            ServeStats::bump(&self.stats.rejected);
-            conn.send(
-                &self.faults,
-                &format!("ERR {} PROTO expected '<id> <statement>'\n", one_line(line)),
-            );
-            return;
-        };
-        let req = Request {
-            id: id.to_string(),
-            statement: statement.to_string(),
-            deadline: self.cfg.queue.deadline.map(|d| Instant::now() + d),
-            conn: Arc::clone(conn),
-        };
-        match self.queue.push(req) {
-            Admission::Admitted => ServeStats::bump(&self.stats.admitted),
-            Admission::AdmittedShedding(old) => {
-                ServeStats::bump(&self.stats.admitted);
-                ServeStats::bump(&self.stats.shed);
-                old.conn.send(
-                    &self.faults,
-                    &format!("ERR {} OVERLOADED shed by newer request\n", old.id),
-                );
-            }
-            Admission::Rejected(req) => {
-                ServeStats::bump(&self.stats.rejected);
-                let why = if self.is_shutting_down() {
-                    "shutting down"
-                } else {
-                    "queue full"
-                };
-                req.conn
-                    .send(&self.faults, &format!("ERR {} OVERLOADED {why}\n", req.id));
-            }
-        }
     }
 
     /// Answer a `.command` inline.
-    fn control(self: &Arc<Self>, cmd: &str, conn: &Arc<Conn>) {
+    fn control(&self, cmd: &str, conn: &Arc<Conn>) {
         let parts: Vec<&str> = cmd.split_whitespace().collect();
         let reply = match parts.first().copied() {
             Some("ping") => "+pong\n".to_string(),
@@ -696,14 +525,7 @@ impl Server {
                     e.built_at()
                 )
             }
-            Some("stats") => format!(
-                "+stats {}\n",
-                self.stats.render(
-                    self.queue.depth(),
-                    self.queue.high_water(),
-                    self.cell.published()
-                )
-            ),
+            Some("stats") => format!("+stats {}\n", self.ledger()),
             Some("tick") => {
                 let count = parts
                     .get(1)
@@ -759,14 +581,75 @@ impl Server {
                 Err(msg) => format!("-err {msg}\n"),
             },
             Some("shutdown") => {
-                conn.send(&self.faults, "+bye\n");
+                self.send(conn, "+bye\n");
                 self.request_shutdown();
                 return;
             }
             Some(other) => format!("-err unknown command '.{}'\n", one_line(other)),
             None => "-err empty command\n".to_string(),
         };
-        conn.send(&self.faults, &reply);
+        self.send(conn, &reply);
+    }
+}
+
+impl LineHandler for Server {
+    fn stopping(&self) -> bool {
+        self.is_shutting_down()
+    }
+
+    /// Count and answer a transport-level protocol rejection: the raw
+    /// line never becomes a request, but it still lands in the ledger
+    /// (`received` + `rejected`) and gets a typed `ERR ... PROTO`.
+    fn reject(&self, conn: &Arc<Conn>, id: &str, msg: &str) {
+        ServeStats::bump(&self.stats.received);
+        ServeStats::bump(&self.stats.rejected);
+        self.send(conn, &format!("ERR {id} PROTO {msg}\n"));
+    }
+
+    /// Dispatch one complete request line.
+    fn line(&self, conn: &Arc<Conn>, line: &str) {
+        if line.is_empty() {
+            return;
+        }
+        if let Some(cmd) = line.strip_prefix('.') {
+            self.control(cmd, conn);
+            return;
+        }
+        ServeStats::bump(&self.stats.received);
+        let Some((id, statement)) = line.split_once(' ') else {
+            ServeStats::bump(&self.stats.rejected);
+            self.send(
+                conn,
+                &format!("ERR {} PROTO expected '<id> <statement>'\n", bounded(line)),
+            );
+            return;
+        };
+        let req = Request {
+            id: id.to_string(),
+            statement: statement.to_string(),
+            deadline: self.cfg.queue.deadline.map(|d| Instant::now() + d),
+            conn: Arc::clone(conn),
+        };
+        match self.queue.push(req) {
+            Admission::Admitted => ServeStats::bump(&self.stats.admitted),
+            Admission::AdmittedShedding(old) => {
+                ServeStats::bump(&self.stats.admitted);
+                ServeStats::bump(&self.stats.shed);
+                self.send(
+                    &old.conn,
+                    &format!("ERR {} OVERLOADED shed by newer request\n", old.id),
+                );
+            }
+            Admission::Rejected(req) => {
+                ServeStats::bump(&self.stats.rejected);
+                let why = if self.is_shutting_down() {
+                    "shutting down"
+                } else {
+                    "queue full"
+                };
+                self.send(&req.conn, &format!("ERR {} OVERLOADED {why}\n", req.id));
+            }
+        }
     }
 }
 
@@ -798,19 +681,4 @@ fn make_epoch(
         }
         _ => Ok(ModelEpoch::from_model(model, Vec::new(), id)?),
     }
-}
-
-/// Collapse a message to a single protocol-safe line.
-fn one_line(s: &str) -> String {
-    s.replace(['\n', '\r'], " ")
-}
-
-/// The response tag of a rejected raw line: its first whitespace token,
-/// clipped, so the client can still correlate the typed `PROTO` error.
-fn line_id_prefix(raw: &str) -> String {
-    let tok = raw.split_whitespace().next().unwrap_or("");
-    if tok.is_empty() {
-        return "?".to_string();
-    }
-    tok.chars().take(32).collect()
 }

@@ -108,12 +108,19 @@ fn read_line(reader: &mut BufReader<TcpStream>) -> String {
 /// connection must keep answering real requests afterwards.
 #[test]
 fn oversized_line_gets_typed_proto_and_connection_survives() {
+    // 80 KiB, and a line spanning several `MAX_LINE` read chunks.
+    for len in [80 * 1024, 3 * affinity_coord::MAX_LINE as usize + 1024] {
+        oversized_line(len);
+    }
+}
+
+fn oversized_line(len: usize) {
     let fx = Fixture::start();
     let (mut stream, mut reader) = fx.connect();
 
-    // 80 KiB of request, no newline until the very end. The id prefix
-    // ("flood") fits well inside the first read chunk.
-    let huge = format!("flood {}\n", "x".repeat(80 * 1024));
+    // `len` bytes of request, no newline until the very end. The id
+    // prefix ("flood") fits well inside the first read chunk.
+    let huge = format!("flood {}\n", "x".repeat(len));
     stream.write_all(huge.as_bytes()).expect("send flood");
 
     let reply = read_line(&mut reader);

@@ -184,6 +184,22 @@ impl ShardModel {
         self.engine.location_value(measure, v)
     }
 
+    /// Tag grouped index chunks with their global pivot ordinals (the
+    /// splice key) onto `out`.
+    fn tag_chunks(
+        &self,
+        grouped: Vec<(usize, Vec<SequencePair>)>,
+        out: &mut Vec<(u32, Vec<SequencePair>)>,
+    ) -> Result<(), ScapeError> {
+        for (q, chunk) in grouped {
+            let ordinal = self.ordinals.get(q).ok_or(ScapeError::DeltaMismatch {
+                detail: "local pivot without a global ordinal",
+            })?;
+            out.push((*ordinal, chunk));
+        }
+        Ok(())
+    }
+
     /// `true` if this shard's partition holds the relationship for
     /// `pair` (exactly one shard of a model answers `true` per pair).
     pub fn has_pair(&self, pair: SequencePair) -> bool {
@@ -269,12 +285,10 @@ impl ShardedModel {
     ) -> Result<Vec<SequencePair>, ScapeError> {
         let mut chunks: Vec<(u32, Vec<SequencePair>)> = Vec::new();
         for shard in &self.shards {
-            for (q, chunk) in shard
+            let grouped = shard
                 .index
-                .threshold_pairs_grouped(measure, op, tau, cancel)?
-            {
-                chunks.push((shard.ordinals[q], chunk));
-            }
+                .threshold_pairs_grouped(measure, op, tau, cancel)?;
+            shard.tag_chunks(grouped, &mut chunks)?;
         }
         Ok(splice_chunks(chunks))
     }
@@ -294,12 +308,10 @@ impl ShardedModel {
     ) -> Result<Vec<SequencePair>, ScapeError> {
         let mut chunks: Vec<(u32, Vec<SequencePair>)> = Vec::new();
         for shard in &self.shards {
-            for (q, chunk) in shard
+            let grouped = shard
                 .index
-                .range_pairs_grouped(measure, tau_l, tau_u, cancel)?
-            {
-                chunks.push((shard.ordinals[q], chunk));
-            }
+                .range_pairs_grouped(measure, tau_l, tau_u, cancel)?;
+            shard.tag_chunks(grouped, &mut chunks)?;
         }
         Ok(splice_chunks(chunks))
     }
@@ -441,9 +453,13 @@ impl ShardedModel {
     /// # Errors
     /// [`CoreError::UnknownSeries`] for out-of-range identifiers.
     pub fn location_value(&self, measure: LocationMeasure, v: SeriesId) -> Result<f64, CoreError> {
-        self.shards[self.owner_of(v)]
-            .engine
-            .location_value(measure, v)
+        match self.shards.get(self.owner_of(v)) {
+            Some(shard) => shard.engine.location_value(measure, v),
+            None => Err(CoreError::UnknownSeries {
+                id: v,
+                series: self.shared.series_count,
+            }),
+        }
     }
 
     /// MEC location query over a set of identifiers, one value per id,
@@ -486,22 +502,13 @@ impl ShardedModel {
         require_distinct(ids)?;
         let q = ids.len();
         let mut out = Matrix::zeros(q, q);
-        for (i, &id) in ids.iter().enumerate() {
-            out.set(
-                i,
-                i,
-                match measure {
-                    PairwiseMeasure::Covariance => self.shared.variances[id],
-                    PairwiseMeasure::DotProduct => self.shared.self_dots[id],
-                    PairwiseMeasure::Correlation
-                    | PairwiseMeasure::Cosine
-                    | PairwiseMeasure::Dice => 1.0,
-                },
-            );
-        }
-        for i in 0..q {
-            for j in i + 1..q {
-                let v = self.pair_value(measure, SequencePair::new(ids[i], ids[j]))?;
+        for (i, &a) in ids.iter().enumerate() {
+            let diag = self
+                .diag_value(measure, a)
+                .ok_or(CoreError::UnknownSeries { id: a, series: n })?;
+            out.set(i, i, diag);
+            for (j, &b) in ids.iter().enumerate().skip(i + 1) {
+                let v = self.pair_value(measure, SequencePair::new(a, b))?;
                 out.set(i, j, v);
                 out.set(j, i, v);
             }
@@ -555,7 +562,13 @@ impl ShardedModel {
         for shard in &self.shards {
             for rel in shard.affine.relationships() {
                 let value = shard.engine.pair_value(measure, rel.pair)?;
-                out[pair_rank(n, rel.pair.u, rel.pair.v)] = value;
+                let slot = out.get_mut(pair_rank(n, rel.pair.u, rel.pair.v)).ok_or(
+                    CoreError::UnknownSeries {
+                        id: rel.pair.v,
+                        series: n,
+                    },
+                )?;
+                *slot = value;
             }
         }
         Ok(out)
