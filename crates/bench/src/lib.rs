@@ -289,6 +289,12 @@ pub mod tradeoff {
     pub fn print(rows: &[Row], absolute: bool) {
         for measure in ["mean", "median", "mode", "covariance", "dot product"] {
             println!("\n--- {measure} ---");
+            if measure == "mode" {
+                println!(
+                    "(W_N runs measures::mode per series, W_A per cluster centre: one exact \
+                     bound-and-verify KDE argmax, so expect ~n/k, not the paper's ~3500x)"
+                );
+            }
             if absolute {
                 println!("{:>4} {:>12} {:>12}", "k", "W_N", "W_A");
             } else {

@@ -510,9 +510,11 @@ impl ScapeIndex {
                 1 => LocationMeasure::Median,
                 _ => LocationMeasure::Mode,
             };
-            let center_loc: Vec<f64> = (0..clusters.k())
-                .map(|l| measures::location(measure, clusters.center(l)))
-                .collect();
+            // Centres are independent and land in index order, so the
+            // pool's lane count never changes a bit.
+            let center_loc: Vec<f64> = pool.parallel_map(clusters.k(), |l| {
+                measures::location(measure, clusters.center(l))
+            });
             // Gather per-cluster entries in series order, then load.
             // A masked build (sharding) admits only the owned series.
             let mut cluster_entries: Vec<Vec<(f64, SeriesId)>> = vec![Vec::new(); clusters.k()];
