@@ -115,7 +115,7 @@ pub mod prelude {
     pub use affinity_par::ThreadPool;
     pub use affinity_ql::Session;
     pub use affinity_query::{AffineExecutor, DftExecutor, NaiveExecutor};
-    pub use affinity_scape::{ScapeIndex, ThresholdOp};
+    pub use affinity_scape::{Filter, ScapeIndex, ThresholdOp};
     pub use affinity_shard::{ShardPlan, ShardedModel};
     pub use affinity_storage::{CachedStore, MatrixStore};
     pub use affinity_stream::{StreamingConfig, StreamingEngine};

@@ -13,7 +13,7 @@ use affinity_bench::{
 };
 use affinity_core::measures::{self, LocationMeasure, Measure, PairwiseMeasure};
 use affinity_query::{AffineExecutor, DftExecutor, NaiveExecutor};
-use affinity_scape::{ScapeIndex, ThresholdOp};
+use affinity_scape::{Filter, ScapeIndex, ThresholdOp};
 
 const FRACTIONS: [f64; 5] = [0.2, 0.4, 0.6, 0.8, 0.999];
 
@@ -114,7 +114,13 @@ fn main() {
         let (_, t_a) = time(|| wa.met_series(LocationMeasure::Median, ThresholdOp::Greater, tau));
         let (r_s, t_s) = time(|| {
             index
-                .threshold_series(LocationMeasure::Median, ThresholdOp::Greater, tau)
+                .search_series(
+                    LocationMeasure::Median,
+                    Filter::Threshold {
+                        op: ThresholdOp::Greater,
+                        tau,
+                    },
+                )
                 .unwrap()
         });
         println!(

@@ -23,7 +23,7 @@
 use affinity_bench::{fmt_secs, header, sensor, time, Scale};
 use affinity_core::measures::{Measure, PairwiseMeasure};
 use affinity_core::symex::{Symex, SymexParams};
-use affinity_scape::{ScapeIndex, ThresholdOp};
+use affinity_scape::{Filter, ScapeIndex, ThresholdOp};
 use affinity_shard::ShardedModel;
 use std::fmt::Write as _;
 
@@ -84,10 +84,12 @@ fn main() {
         assert_eq!(model.shards().len(), k);
         let (met, met_secs) = time(|| {
             model
-                .threshold_pairs_with(
+                .search_pairs(
                     PairwiseMeasure::Correlation,
-                    ThresholdOp::Greater,
-                    TAU,
+                    Filter::Threshold {
+                        op: ThresholdOp::Greater,
+                        tau: TAU,
+                    },
                     &never,
                 )
                 .unwrap()

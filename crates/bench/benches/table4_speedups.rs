@@ -11,7 +11,7 @@
 use affinity_bench::{default_symex, header, sensor, time, Scale};
 use affinity_core::measures::{self, LocationMeasure, Measure, PairwiseMeasure};
 use affinity_query::{AffineExecutor, DftExecutor, NaiveExecutor};
-use affinity_scape::{ScapeIndex, ThresholdOp};
+use affinity_scape::{Filter, ScapeIndex, ThresholdOp};
 
 /// Median of several timed repetitions (max-result queries are cheap for
 /// the indexed path; single-shot timings would be noise).
@@ -85,7 +85,13 @@ fn main() {
         let t_s = timed_median(
             || {
                 index
-                    .threshold_series(LocationMeasure::Median, ThresholdOp::Greater, med_min)
+                    .search_series(
+                        LocationMeasure::Median,
+                        Filter::Threshold {
+                            op: ThresholdOp::Greater,
+                            tau: med_min,
+                        },
+                    )
                     .unwrap()
             },
             reps,

@@ -14,10 +14,10 @@
 use crate::proto::{ProtoError, ShardMeta, ShardRequest, ShardResponse};
 use crate::stats::CoordStats;
 use affinity_core::error::CoreError;
-use affinity_core::measures::Measure;
+use affinity_core::measures::{LocationMeasure, Measure, PairwiseMeasure};
 use affinity_data::SequencePair;
-use affinity_scape::ScapeError;
-use affinity_shard::ShardedModel;
+use affinity_scape::{Filter, ScapeError};
+use affinity_shard::{ShardModel, ShardedModel};
 use std::fmt;
 use std::sync::Arc;
 
@@ -169,32 +169,16 @@ pub fn answer(
             assignments: model.plan().assignments().to_vec(),
         })),
         ShardRequest::ThresholdPairs { measure, op, tau } => {
-            let chunks = sm
-                .index()
-                .threshold_pairs_grouped(*measure, *op, *tau, &|| false)
-                .map_err(AnswerError::Scape)?;
-            tag_chunks(sm.ordinals(), chunks)
+            pair_chunks(sm, *measure, Filter::Threshold { op: *op, tau: *tau })
         }
         ShardRequest::RangePairs { measure, lo, hi } => {
-            let chunks = sm
-                .index()
-                .range_pairs_grouped(*measure, *lo, *hi, &|| false)
-                .map_err(AnswerError::Scape)?;
-            tag_chunks(sm.ordinals(), chunks)
+            pair_chunks(sm, *measure, Filter::Range { lo: *lo, hi: *hi })
         }
         ShardRequest::ThresholdSeries { measure, op, tau } => {
-            let clusters = sm
-                .index()
-                .threshold_series_keyed(*measure, *op, *tau)
-                .map_err(AnswerError::Scape)?;
-            Ok(ShardResponse::KeyedSeries(narrow_keyed(clusters)))
+            keyed_series(sm, *measure, Filter::Threshold { op: *op, tau: *tau })
         }
         ShardRequest::RangeSeries { measure, lo, hi } => {
-            let clusters = sm
-                .index()
-                .range_series_keyed(*measure, *lo, *hi)
-                .map_err(AnswerError::Scape)?;
-            Ok(ShardResponse::KeyedSeries(narrow_keyed(clusters)))
+            keyed_series(sm, *measure, Filter::Range { lo: *lo, hi: *hi })
         }
         ShardRequest::LocationValues { measure, ids } => {
             let mut values = Vec::with_capacity(ids.len());
@@ -261,12 +245,18 @@ pub fn answer(
     }
 }
 
-/// Tag grouped chunks with their global pivot ordinals and narrow the
-/// pairs to the wire shape.
-fn tag_chunks(
-    ordinals: &[u32],
-    chunks: Vec<(usize, Vec<SequencePair>)>,
+/// The shard's grouped pair answer, each chunk tagged with its global
+/// pivot ordinal and narrowed to the wire shape.
+fn pair_chunks(
+    sm: &ShardModel,
+    measure: PairwiseMeasure,
+    filter: Filter,
 ) -> Result<ShardResponse, AnswerError> {
+    let chunks = sm
+        .index()
+        .search_pairs_grouped(measure, filter, &|| false)
+        .map_err(AnswerError::Scape)?;
+    let ordinals = sm.ordinals();
     let mut out = Vec::with_capacity(chunks.len());
     for (q, chunk) in chunks {
         let ord = ordinals
@@ -284,11 +274,23 @@ fn tag_chunks(
     Ok(ShardResponse::PairChunks(out))
 }
 
-fn narrow_keyed(clusters: Vec<Vec<(f64, usize)>>) -> Vec<Vec<(f64, u32)>> {
-    clusters
-        .into_iter()
-        .map(|entries| entries.into_iter().map(|(xi, v)| (xi, v as u32)).collect())
-        .collect()
+/// The shard's per-cluster keyed series answer, narrowed to the wire
+/// shape.
+fn keyed_series(
+    sm: &ShardModel,
+    measure: LocationMeasure,
+    filter: Filter,
+) -> Result<ShardResponse, AnswerError> {
+    let clusters = sm
+        .index()
+        .search_series_keyed(measure, filter)
+        .map_err(AnswerError::Scape)?;
+    Ok(ShardResponse::KeyedSeries(
+        clusters
+            .into_iter()
+            .map(|entries| entries.into_iter().map(|(xi, v)| (xi, v as u32)).collect())
+            .collect(),
+    ))
 }
 
 /// The in-process backend: calls [`answer`] directly against a local

@@ -470,7 +470,10 @@ fn steal(blocks: &[AtomicU64], thief: usize) -> Option<u64> {
         }
         let (victim, cur, _) = best?;
         let (s, e) = unpack(cur);
-        let mid = s + (e - s).div_ceil(2);
+        // Round the victim's share down so every successful steal moves
+        // at least one item: a lane that died in a panicking job never
+        // pops its block again, so its last item must be stealable.
+        let mid = s + (e - s) / 2;
         if blocks[victim]
             .compare_exchange(cur, pack(s, mid), Ordering::AcqRel, Ordering::Acquire)
             .is_ok()
@@ -633,6 +636,32 @@ mod tests {
         // The pool survives a panicked job.
         let out = pool.parallel_map(4, |i| i + 1);
         assert_eq!(out, vec![1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn a_panicking_lane_does_not_strand_its_last_item() {
+        // Lane 1 owns items 8..16 and panics on the first. The other
+        // lanes must steal all of 9..16, down to a one-item block, and the
+        // panic must reach the caller. The job runs on a thread that is
+        // never joined, so a hang fails the timeout instead of blocking.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let pool = ThreadPool::new(4);
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                pool.parallel_for(32, |i| {
+                    if i == 8 {
+                        panic!("boom");
+                    }
+                    std::thread::sleep(std::time::Duration::from_millis(2));
+                });
+            }));
+            let _ = tx.send(result.is_err());
+        });
+        assert_eq!(
+            rx.recv_timeout(std::time::Duration::from_secs(20)),
+            Ok(true),
+            "parallel_for must propagate the panic, not hang"
+        );
     }
 
     #[test]

@@ -43,7 +43,8 @@ mod parser;
 pub mod plan;
 mod session;
 
+pub use affinity_scape::Filter;
 pub use cancel::{CancelCause, CancelToken};
 pub use parser::{parse, MeasureName, ParseError, Statement};
-pub use plan::{Filter, QueryModel};
+pub use plan::QueryModel;
 pub use session::{series_labels, QlError, QueryOutput, Session};

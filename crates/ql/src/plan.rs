@@ -14,43 +14,7 @@ use crate::session::{QlError, QueryOutput};
 use affinity_core::measures::{LocationMeasure, Measure, PairwiseMeasure};
 use affinity_data::{SequencePair, SeriesId};
 use affinity_linalg::Matrix;
-use affinity_scape::ThresholdOp;
-
-/// The row predicate of a MET or MER statement.
-#[derive(Debug, Clone, Copy)]
-pub enum Filter {
-    /// MET: value `> tau` or `< tau`.
-    Threshold {
-        /// Comparison direction.
-        op: ThresholdOp,
-        /// The threshold.
-        tau: f64,
-    },
-    /// MER: `lo < value < hi`.
-    Range {
-        /// Exclusive lower bound.
-        lo: f64,
-        /// Exclusive upper bound.
-        hi: f64,
-    },
-}
-
-impl Filter {
-    /// Whether `x` passes — the test a fallback scan applies per value.
-    pub fn keep(&self, x: f64) -> bool {
-        match *self {
-            Filter::Threshold {
-                op: ThresholdOp::Greater,
-                tau,
-            } => x > tau,
-            Filter::Threshold {
-                op: ThresholdOp::Less,
-                tau,
-            } => x < tau,
-            Filter::Range { lo, hi } => lo < x && x < hi,
-        }
-    }
-}
+use affinity_scape::{Filter, ThresholdOp};
 
 /// The query primitives a statement plan runs on. Ids handed in are
 /// already resolved and in range; answers come back in the global

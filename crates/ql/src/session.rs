@@ -4,13 +4,13 @@
 
 use crate::cancel::CancelToken;
 use crate::parser::{parse, ParseError, Statement};
-use crate::plan::{self, cancel_error, Filter, QueryModel};
+use crate::plan::{self, cancel_error, QueryModel};
 use affinity_core::measures::{LocationMeasure, Measure, PairwiseMeasure};
 use affinity_core::mec::MecEngine;
 use affinity_core::symex::AffineSet;
 use affinity_data::{DataMatrix, SequencePair, SeriesId, SeriesSource};
 use affinity_linalg::Matrix;
-use affinity_scape::{ScapeError, ScapeIndex};
+use affinity_scape::{Filter, ScapeError, ScapeIndex};
 use affinity_shard::ShardedModel;
 use affinity_stream::PersistedModel;
 use std::fmt;
@@ -454,14 +454,9 @@ impl QueryModel for Global<'_> {
         filter: Filter,
         token: &CancelToken,
     ) -> Result<Vec<SequencePair>, QlError> {
-        let stop = || token.should_stop();
-        match filter {
-            Filter::Threshold { op, tau } => {
-                self.index.threshold_pairs_with(measure, op, tau, &stop)
-            }
-            Filter::Range { lo, hi } => self.index.range_pairs_with(measure, lo, hi, &stop),
-        }
-        .map_err(|e| scape_error(e, token))
+        self.index
+            .search_pairs(measure, filter, &|| token.should_stop())
+            .map_err(|e| scape_error(e, token))
     }
 
     fn search_series(
@@ -470,11 +465,9 @@ impl QueryModel for Global<'_> {
         filter: Filter,
         token: &CancelToken,
     ) -> Result<Vec<SeriesId>, QlError> {
-        match filter {
-            Filter::Threshold { op, tau } => self.index.threshold_series(measure, op, tau),
-            Filter::Range { lo, hi } => self.index.range_series(measure, lo, hi),
-        }
-        .map_err(|e| scape_error(e, token))
+        self.index
+            .search_series(measure, filter)
+            .map_err(|e| scape_error(e, token))
     }
 
     fn scan_pairs(
@@ -540,12 +533,8 @@ impl QueryModel for &ShardedModel {
         filter: Filter,
         token: &CancelToken,
     ) -> Result<Vec<SequencePair>, QlError> {
-        let stop = || token.should_stop();
-        match filter {
-            Filter::Threshold { op, tau } => self.threshold_pairs_with(measure, op, tau, &stop),
-            Filter::Range { lo, hi } => self.range_pairs_with(measure, lo, hi, &stop),
-        }
-        .map_err(|e| scape_error(e, token))
+        ShardedModel::search_pairs(self, measure, filter, &|| token.should_stop())
+            .map_err(|e| scape_error(e, token))
     }
 
     fn search_series(
@@ -554,11 +543,7 @@ impl QueryModel for &ShardedModel {
         filter: Filter,
         token: &CancelToken,
     ) -> Result<Vec<SeriesId>, QlError> {
-        match filter {
-            Filter::Threshold { op, tau } => self.threshold_series(measure, op, tau),
-            Filter::Range { lo, hi } => self.range_series(measure, lo, hi),
-        }
-        .map_err(|e| scape_error(e, token))
+        ShardedModel::search_series(self, measure, filter).map_err(|e| scape_error(e, token))
     }
 
     fn scan_pairs(

@@ -59,4 +59,4 @@ pub use delta::{PairDelta, ScapeDelta, SeriesDelta};
 pub use error::ScapeError;
 pub use index::{IndexStats, ScapeIndex};
 pub use persist::{measure_from_tag, measure_tag, INDEX_CODEC_VERSION};
-pub use query::ThresholdOp;
+pub use query::{Filter, ThresholdOp};

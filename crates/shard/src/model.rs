@@ -34,7 +34,7 @@ use affinity_core::symex::AffineSet;
 use affinity_data::{SequencePair, SeriesId};
 use affinity_linalg::Matrix;
 use affinity_par::ThreadPool;
-use affinity_scape::{ScapeError, ScapeIndex, ThresholdOp};
+use affinity_scape::{Filter, ScapeError, ScapeIndex};
 use std::sync::Arc;
 
 /// Lexicographic rank of pair `(u, v)` (`u < v`) among all `n·(n−1)/2`
@@ -270,157 +270,76 @@ impl ShardedModel {
 
     // --- MET / MER (index) -----------------------------------------
 
-    /// MET over a pairwise measure; bit-identical to the global
-    /// `ScapeIndex::threshold_pairs_with` (chunks spliced in global
-    /// pivot order).
+    /// MET / MER over a pairwise measure; bit-identical to the global
+    /// [`ScapeIndex::search_pairs`] (chunks spliced in global pivot
+    /// order).
     ///
     /// # Errors
-    /// [`ScapeError::MeasureNotIndexed`] or [`ScapeError::Cancelled`].
-    pub fn threshold_pairs_with(
+    /// [`ScapeError::EmptyRange`], [`ScapeError::MeasureNotIndexed`], or
+    /// [`ScapeError::Cancelled`].
+    pub fn search_pairs(
         &self,
         measure: PairwiseMeasure,
-        op: ThresholdOp,
-        tau: f64,
+        filter: Filter,
         cancel: &dyn Fn() -> bool,
     ) -> Result<Vec<SequencePair>, ScapeError> {
         let mut chunks: Vec<(u32, Vec<SequencePair>)> = Vec::new();
         for shard in &self.shards {
-            let grouped = shard
-                .index
-                .threshold_pairs_grouped(measure, op, tau, cancel)?;
+            let grouped = shard.index.search_pairs_grouped(measure, filter, cancel)?;
             shard.tag_chunks(grouped, &mut chunks)?;
         }
         Ok(splice_chunks(chunks))
     }
 
-    /// MER over a pairwise measure; see
-    /// [`threshold_pairs_with`](ShardedModel::threshold_pairs_with).
+    /// MET / MER over a location measure; bit-identical to the global
+    /// [`ScapeIndex::search_series`] (per-cluster `(ξ, series)` merge).
     ///
     /// # Errors
-    /// [`ScapeError::MeasureNotIndexed`], [`ScapeError::EmptyRange`],
-    /// or [`ScapeError::Cancelled`].
-    pub fn range_pairs_with(
-        &self,
-        measure: PairwiseMeasure,
-        tau_l: f64,
-        tau_u: f64,
-        cancel: &dyn Fn() -> bool,
-    ) -> Result<Vec<SequencePair>, ScapeError> {
-        let mut chunks: Vec<(u32, Vec<SequencePair>)> = Vec::new();
-        for shard in &self.shards {
-            let grouped = shard
-                .index
-                .range_pairs_grouped(measure, tau_l, tau_u, cancel)?;
-            shard.tag_chunks(grouped, &mut chunks)?;
-        }
-        Ok(splice_chunks(chunks))
-    }
-
-    /// MET over a location measure; bit-identical to the global
-    /// `ScapeIndex::threshold_series` (per-cluster `(ξ, series)` merge).
-    ///
-    /// # Errors
-    /// [`ScapeError::MeasureNotIndexed`] if the measure was not built.
-    pub fn threshold_series(
+    /// [`ScapeError::EmptyRange`] or [`ScapeError::MeasureNotIndexed`].
+    pub fn search_series(
         &self,
         measure: LocationMeasure,
-        op: ThresholdOp,
-        tau: f64,
+        filter: Filter,
     ) -> Result<Vec<SeriesId>, ScapeError> {
         let per_shard = self
             .shards
             .iter()
-            .map(|s| s.index.threshold_series_keyed(measure, op, tau))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(merge_keyed_series(per_shard))
-    }
-
-    /// MER over a location measure; see
-    /// [`threshold_series`](ShardedModel::threshold_series).
-    ///
-    /// # Errors
-    /// [`ScapeError::MeasureNotIndexed`] or [`ScapeError::EmptyRange`].
-    pub fn range_series(
-        &self,
-        measure: LocationMeasure,
-        tau_l: f64,
-        tau_u: f64,
-    ) -> Result<Vec<SeriesId>, ScapeError> {
-        let per_shard = self
-            .shards
-            .iter()
-            .map(|s| s.index.range_series_keyed(measure, tau_l, tau_u))
+            .map(|s| s.index.search_series_keyed(measure, filter))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(merge_keyed_series(per_shard))
     }
 
     // --- Counts ----------------------------------------------------
 
-    /// MET result count without materializing (per-shard subtree counts
-    /// summed; supports are disjoint, so the sum is exact).
+    /// Pair result count without materializing (per-shard subtree
+    /// counts summed; supports are disjoint, so the sum is exact).
     ///
     /// # Errors
-    /// [`ScapeError::MeasureNotIndexed`] if the measure was not built.
-    pub fn count_threshold_pairs(
+    /// [`ScapeError::EmptyRange`] or [`ScapeError::MeasureNotIndexed`].
+    pub fn count_pairs(
         &self,
         measure: PairwiseMeasure,
-        op: ThresholdOp,
-        tau: f64,
+        filter: Filter,
     ) -> Result<usize, ScapeError> {
         let mut total = 0usize;
         for shard in &self.shards {
-            total += shard.index.count_threshold_pairs(measure, op, tau)?;
+            total += shard.index.count_pairs(measure, filter)?;
         }
         Ok(total)
     }
 
-    /// MER result count without materializing.
+    /// Series result count without materializing.
     ///
     /// # Errors
-    /// [`ScapeError::MeasureNotIndexed`] or [`ScapeError::EmptyRange`].
-    pub fn count_range_pairs(
-        &self,
-        measure: PairwiseMeasure,
-        tau_l: f64,
-        tau_u: f64,
-    ) -> Result<usize, ScapeError> {
-        let mut total = 0usize;
-        for shard in &self.shards {
-            total += shard.index.count_range_pairs(measure, tau_l, tau_u)?;
-        }
-        Ok(total)
-    }
-
-    /// Series MET count without materializing.
-    ///
-    /// # Errors
-    /// [`ScapeError::MeasureNotIndexed`] if the measure was not built.
-    pub fn count_threshold_series(
+    /// [`ScapeError::EmptyRange`] or [`ScapeError::MeasureNotIndexed`].
+    pub fn count_series(
         &self,
         measure: LocationMeasure,
-        op: ThresholdOp,
-        tau: f64,
+        filter: Filter,
     ) -> Result<usize, ScapeError> {
         let mut total = 0usize;
         for shard in &self.shards {
-            total += shard.index.count_threshold_series(measure, op, tau)?;
-        }
-        Ok(total)
-    }
-
-    /// Series MER count without materializing.
-    ///
-    /// # Errors
-    /// [`ScapeError::MeasureNotIndexed`] or [`ScapeError::EmptyRange`].
-    pub fn count_range_series(
-        &self,
-        measure: LocationMeasure,
-        tau_l: f64,
-        tau_u: f64,
-    ) -> Result<usize, ScapeError> {
-        let mut total = 0usize;
-        for shard in &self.shards {
-            total += shard.index.count_range_series(measure, tau_l, tau_u)?;
+            total += shard.index.count_series(measure, filter)?;
         }
         Ok(total)
     }

@@ -9,7 +9,7 @@ use affinity_core::prelude::*;
 use affinity_data::generator::{sensor_dataset, SensorConfig};
 use affinity_data::{DataMatrix, SeriesId};
 use affinity_par::ThreadPool;
-use affinity_scape::{ScapeIndex, ThresholdOp};
+use affinity_scape::{Filter, ScapeIndex, ThresholdOp};
 use affinity_shard::{ShardPlan, ShardedModel};
 use std::sync::Arc;
 
@@ -31,7 +31,14 @@ fn assert_matches_global(tag: &str, engine: &MecEngine, index: &ScapeIndex, mode
                     .threshold_pairs(measure, ThresholdOp::Greater, tau)
                     .unwrap(),
                 model
-                    .threshold_pairs_with(measure, ThresholdOp::Greater, tau, &never)
+                    .search_pairs(
+                        measure,
+                        Filter::Threshold {
+                            op: ThresholdOp::Greater,
+                            tau,
+                        },
+                        &never,
+                    )
                     .unwrap(),
                 "{tag}: {} > {tau}",
                 measure.name()
@@ -44,6 +51,10 @@ fn assert_matches_global(tag: &str, engine: &MecEngine, index: &ScapeIndex, mode
         );
     }
     let ids: Vec<SeriesId> = (0..model.series_count()).collect();
+    let greater_than_zero = Filter::Threshold {
+        op: ThresholdOp::Greater,
+        tau: 0.0,
+    };
     for measure in [LocationMeasure::Mean, LocationMeasure::Median] {
         assert_bits_eq(
             &engine.location(measure, &ids).unwrap(),
@@ -51,12 +62,8 @@ fn assert_matches_global(tag: &str, engine: &MecEngine, index: &ScapeIndex, mode
             &format!("{tag}: {}", measure.name()),
         );
         assert_eq!(
-            index
-                .threshold_series(measure, ThresholdOp::Greater, 0.0)
-                .unwrap(),
-            model
-                .threshold_series(measure, ThresholdOp::Greater, 0.0)
-                .unwrap(),
+            index.search_series(measure, greater_than_zero).unwrap(),
+            model.search_series(measure, greater_than_zero).unwrap(),
             "{tag}: {}",
             measure.name()
         );

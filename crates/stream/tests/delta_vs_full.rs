@@ -8,7 +8,7 @@
 use affinity_core::measures::{LocationMeasure, Measure, PairwiseMeasure};
 use affinity_data::generator::{sensor_dataset, stock_dataset, SensorConfig, StockConfig};
 use affinity_data::DataMatrix;
-use affinity_scape::{ScapeIndex, ThresholdOp};
+use affinity_scape::{Filter, ScapeIndex, ThresholdOp};
 use affinity_stream::{DeltaPolicy, StreamingConfig, StreamingEngine};
 
 fn sorted<T: Ord>(mut v: Vec<T>) -> Vec<T> {
@@ -55,17 +55,19 @@ fn assert_equivalent(eng: &StreamingEngine, ctx: &str) {
     for measure in LocationMeasure::ALL {
         for tau in [-1e6, 0.0, 15.0, 1e6] {
             for op in [ThresholdOp::Greater, ThresholdOp::Less] {
-                let a = sorted(live.threshold_series(measure, op, tau).unwrap());
-                let b = sorted(rebuilt.threshold_series(measure, op, tau).unwrap());
+                let filter = Filter::Threshold { op, tau };
+                let a = sorted(live.search_series(measure, filter).unwrap());
+                let b = sorted(rebuilt.search_series(measure, filter).unwrap());
                 assert_eq!(a, b, "{ctx}: MET {} tau {tau} {op:?}", measure.name());
-                assert_eq!(
-                    live.count_threshold_series(measure, op, tau).unwrap(),
-                    b.len()
-                );
+                assert_eq!(live.count_series(measure, filter).unwrap(), b.len());
             }
         }
-        let a = sorted(live.range_series(measure, -100.0, 100.0).unwrap());
-        let b = sorted(rebuilt.range_series(measure, -100.0, 100.0).unwrap());
+        let filter = Filter::Range {
+            lo: -100.0,
+            hi: 100.0,
+        };
+        let a = sorted(live.search_series(measure, filter).unwrap());
+        let b = sorted(rebuilt.search_series(measure, filter).unwrap());
         assert_eq!(a, b, "{ctx}: MER {}", measure.name());
     }
 }

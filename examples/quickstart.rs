@@ -69,7 +69,10 @@ fn main() {
         );
     }
     let banded = index
-        .range_series(LocationMeasure::Median, 15.0, 25.0)
+        .search_series(
+            LocationMeasure::Median,
+            Filter::Range { lo: 15.0, hi: 25.0 },
+        )
         .unwrap();
     println!("series with median in (15, 25): {}", banded.len());
 }

@@ -70,14 +70,22 @@ fn main() {
     let medians = engine.location_all(LocationMeasure::Median);
     let mean_med = medians.iter().sum::<f64>() / medians.len() as f64;
     let high = index
-        .threshold_series(
+        .search_series(
             LocationMeasure::Median,
-            ThresholdOp::Greater,
-            mean_med + 5.0,
+            Filter::Threshold {
+                op: ThresholdOp::Greater,
+                tau: mean_med + 5.0,
+            },
         )
         .unwrap();
     let low = index
-        .threshold_series(LocationMeasure::Median, ThresholdOp::Less, mean_med - 5.0)
+        .search_series(
+            LocationMeasure::Median,
+            Filter::Threshold {
+                op: ThresholdOp::Less,
+                tau: mean_med - 5.0,
+            },
+        )
         .unwrap();
     println!(
         "median alerts: {} high, {} low (band centre {mean_med:.2})",

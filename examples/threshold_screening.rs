@@ -132,7 +132,13 @@ fn main() {
     let d_a = t0.elapsed();
     let t0 = Instant::now();
     let r_s = index
-        .threshold_series(LocationMeasure::Median, ThresholdOp::Greater, mid)
+        .search_series(
+            LocationMeasure::Median,
+            Filter::Threshold {
+                op: ThresholdOp::Greater,
+                tau: mid,
+            },
+        )
         .unwrap();
     let d_s = t0.elapsed();
     println!(

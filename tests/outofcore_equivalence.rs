@@ -224,12 +224,12 @@ fn scape_index_answers_are_identical_across_sources() {
             assert_eq!(a, b, "{name}: {} range", measure.name());
         }
         for measure in LocationMeasure::ALL {
-            let a = resident
-                .threshold_series(measure, ThresholdOp::Greater, 0.0)
-                .unwrap();
-            let b = streamed
-                .threshold_series(measure, ThresholdOp::Greater, 0.0)
-                .unwrap();
+            let filter = Filter::Threshold {
+                op: ThresholdOp::Greater,
+                tau: 0.0,
+            };
+            let a = resident.search_series(measure, filter).unwrap();
+            let b = streamed.search_series(measure, filter).unwrap();
             assert_eq!(a, b, "{name}: {}", measure.name());
         }
     }
@@ -513,10 +513,12 @@ fn sharded_build_is_bit_identical_across_sources() {
                     .threshold_pairs(PairwiseMeasure::Correlation, ThresholdOp::Greater, tau)
                     .unwrap(),
                 constrained
-                    .threshold_pairs_with(
+                    .search_pairs(
                         PairwiseMeasure::Correlation,
-                        ThresholdOp::Greater,
-                        tau,
+                        Filter::Threshold {
+                            op: ThresholdOp::Greater,
+                            tau
+                        },
                         &never
                     )
                     .unwrap(),

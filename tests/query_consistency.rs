@@ -165,3 +165,77 @@ fn degenerate_data_is_survivable_everywhere() {
         .unwrap();
     assert!(res.contains(&SequencePair::new(1, 2)));
 }
+
+/// Series 0 is constant; the rest are noisy affine images of a shared
+/// sinusoid, so the pivots anchored at series 0 have a zero α.
+fn constant_series_data() -> DataMatrix {
+    let m = 48;
+    let mut columns: Vec<Vec<f64>> = vec![vec![3.5; m]];
+    for v in 1..24usize {
+        columns.push(
+            (0..m)
+                .map(|i| {
+                    let t = i as f64 * 0.21;
+                    t.sin() * (1.0 + v as f64 * 0.1) + v as f64 + (i as f64 * 0.77).cos() * 0.01
+                })
+                .collect(),
+        );
+    }
+    DataMatrix::from_series(columns)
+}
+
+#[test]
+fn edge_thresholds_answer_alike_indexed_and_scanned() {
+    // NaN, infinities, signed zeros and extreme magnitudes: the index
+    // must select exactly what the fallback scan selects (a NaN bound
+    // selects nothing), and fail with the same error text.
+    let measures = [
+        "covariance",
+        "dot",
+        "correlation",
+        "cosine",
+        "dice",
+        "mean",
+        "median",
+    ];
+    let thresholds = ["NaN", "inf", "-inf", "0", "-0", "1e308", "-1e308", "5e-324"];
+    let answer = |session: &Session, stmt: &str| match session.execute(stmt) {
+        Ok(out) => {
+            let mut lines: Vec<String> = out.to_string().lines().map(String::from).collect();
+            lines.sort();
+            lines
+        }
+        Err(e) => vec![format!("error: {e}")],
+    };
+    for data in [
+        sensor_dataset(&SensorConfig::reduced(18, 48)),
+        constant_series_data(),
+    ] {
+        let affine = Symex::new(SymexParams::default()).run(&data).unwrap();
+        let indexed = Session::new(&data, &affine, &Measure::EXTENDED).unwrap();
+        let scanned = Session::new(&data, &affine, &[]).unwrap();
+        let mut statements = 0;
+        let mut disagreements = Vec::new();
+        for m in measures {
+            for t in thresholds {
+                for stmt in [
+                    format!("MET {m} > {t}"),
+                    format!("MET {m} < {t}"),
+                    format!("MER {m} BETWEEN -1 AND {t}"),
+                    format!("MER {m} BETWEEN {t} AND {t}"),
+                ] {
+                    statements += 1;
+                    if answer(&indexed, &stmt) != answer(&scanned, &stmt) {
+                        disagreements.push(stmt);
+                    }
+                }
+            }
+        }
+        assert_eq!(statements, 224);
+        assert!(
+            disagreements.is_empty(),
+            "{} of {statements} statements disagree: {disagreements:?}",
+            disagreements.len()
+        );
+    }
+}

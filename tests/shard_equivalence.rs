@@ -57,27 +57,28 @@ fn assert_model_matches_global(
     for measure in PairwiseMeasure::ALL {
         for &tau in &taus(measure) {
             for op in [ThresholdOp::Greater, ThresholdOp::Less] {
+                let filter = Filter::Threshold { op, tau };
                 let a = index.threshold_pairs(measure, op, tau).unwrap();
-                let b = model
-                    .threshold_pairs_with(measure, op, tau, &never)
-                    .unwrap();
+                let b = model.search_pairs(measure, filter, &never).unwrap();
                 assert_eq!(a, b, "{tag}: {} {op:?} {tau}", measure.name());
                 assert_eq!(
                     index.count_threshold_pairs(measure, op, tau).unwrap(),
-                    model.count_threshold_pairs(measure, op, tau).unwrap(),
+                    model.count_pairs(measure, filter).unwrap(),
                     "{tag}: count {} {op:?} {tau}",
                     measure.name()
                 );
             }
         }
+        let filter = Filter::Range {
+            lo: -0.25,
+            hi: 0.75,
+        };
         let a = index.range_pairs(measure, -0.25, 0.75).unwrap();
-        let b = model
-            .range_pairs_with(measure, -0.25, 0.75, &never)
-            .unwrap();
+        let b = model.search_pairs(measure, filter, &never).unwrap();
         assert_eq!(a, b, "{tag}: {} range", measure.name());
         assert_eq!(
             index.count_range_pairs(measure, -0.25, 0.75).unwrap(),
-            model.count_range_pairs(measure, -0.25, 0.75).unwrap(),
+            model.count_pairs(measure, filter).unwrap(),
             "{tag}: count {} range",
             measure.name()
         );
@@ -85,30 +86,27 @@ fn assert_model_matches_global(
     // MET / MER over location measures, with their counts.
     for measure in LocationMeasure::ALL {
         for &tau in &[-1e18, 0.0, 100.0] {
-            let a = index
-                .threshold_series(measure, ThresholdOp::Greater, tau)
-                .unwrap();
-            let b = model
-                .threshold_series(measure, ThresholdOp::Greater, tau)
-                .unwrap();
+            let filter = Filter::Threshold {
+                op: ThresholdOp::Greater,
+                tau,
+            };
+            let a = index.search_series(measure, filter).unwrap();
+            let b = model.search_series(measure, filter).unwrap();
             assert_eq!(a, b, "{tag}: {} > {tau}", measure.name());
             assert_eq!(
-                index
-                    .count_threshold_series(measure, ThresholdOp::Greater, tau)
-                    .unwrap(),
-                model
-                    .count_threshold_series(measure, ThresholdOp::Greater, tau)
-                    .unwrap(),
+                index.count_series(measure, filter).unwrap(),
+                model.count_series(measure, filter).unwrap(),
                 "{tag}: count {} > {tau}",
                 measure.name()
             );
         }
-        let a = index.range_series(measure, -1e3, 1e3).unwrap();
-        let b = model.range_series(measure, -1e3, 1e3).unwrap();
+        let filter = Filter::Range { lo: -1e3, hi: 1e3 };
+        let a = index.search_series(measure, filter).unwrap();
+        let b = model.search_series(measure, filter).unwrap();
         assert_eq!(a, b, "{tag}: {} range", measure.name());
         assert_eq!(
-            index.count_range_series(measure, -1e3, 1e3).unwrap(),
-            model.count_range_series(measure, -1e3, 1e3).unwrap(),
+            index.count_series(measure, filter).unwrap(),
+            model.count_series(measure, filter).unwrap(),
             "{tag}: count {} range",
             measure.name()
         );
