@@ -4,7 +4,7 @@
 //! affinity generate <sensor|stock> <path.afn> [n] [m]        seeded synthetic dataset
 //! affinity info     <path.afn>                               shape + labels
 //! affinity csv      <path.afn> <out.csv>                     export to CSV
-//! affinity query    [--ooc[=MB]] [--prefetch[=K]] [--shards[=K]] <path.afn> "<stmt>" [...]
+//! affinity query    [--ooc[=MB]] [--shards[=K]] <path.afn> "<stmt>" [...]
 //! affinity query    [--quiet] --snapshot <dir> "<stmt>" [...]  query a persisted model
 //! affinity snapshot <path.afn> <dir>                         build + persist a model
 //! affinity quality  <path.afn>                               LSFD quality report
@@ -21,19 +21,16 @@
 //! [`CachedStore`] — the matrix is never materialized, so stores far
 //! larger than RAM work; the answers are bit-for-bit identical to the
 //! resident path. The optional `=MB` sets the column-cache budget
-//! (default 64 MB). Adding `--prefetch` spawns the cache's background
-//! readahead worker (depth `K`, default 8): the build passes announce
-//! their column sequences and the worker pulls them from disk — region
-//! reads for contiguous runs — while the current column computes.
-//! Purely a wall-clock knob; the model is identical at every depth.
+//! (default 64 MB). The build passes announce their column sequences,
+//! so each cache miss reads the announced columns after it in the same
+//! region request.
 //!
 //! With `--shards[=K]` (default K = 4) the model is partitioned into
 //! `K` shards along AFCLST cluster cuts and statements are answered
 //! through the cross-shard merge layer (`affinity_shard`). Answers are
 //! **bit-identical** to the unsharded path — sharding is a scale-out
-//! knob, not an approximation — and the flag composes with `--ooc` /
-//! `--prefetch` (each shard streams columns through the same bounded
-//! cache).
+//! knob, not an approximation — and the flag composes with `--ooc`
+//! (each shard streams columns through the same bounded cache).
 //!
 //! `affinity snapshot` builds the full model once (AFCLST + SYMEX +
 //! SCAPE index over the store's trailing window) and commits it to a
@@ -120,7 +117,7 @@ mod sig {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  affinity generate <sensor|stock> <path.afn> [n] [m]\n  affinity info <path.afn>\n  affinity csv <path.afn> <out.csv>\n  affinity query [--ooc[=MB]] [--prefetch[=K]] [--shards[=K]] <path.afn> \"<statement>\" [more statements...]\n  affinity query [--quiet] --snapshot <snapshot-dir> \"<statement>\" [more statements...]\n  affinity snapshot <path.afn> <snapshot-dir>\n  affinity quality <path.afn>\n  affinity serve [--gen <sensor|stock>] [--series N] [--samples M] [--window W] [--resume DIR | --persist DIR]\n                 [--port P] [--workers N] [--queue CAP] [--deadline-ms D] [--shed-oldest] [--churn-ms MS] [--chaos] [--quiet]\n                 [--shard I --shards K]\n  affinity coord [--shards K] [--gen <sensor|stock>] [--series N] [--samples M] [--window W] [--workers N]\n                 [--port P] [--strict] [--timeout-ms D] [--retries R] [--persist-root DIR] [--chaos] [--quiet]\n  affinity coord --attach <addr,addr,...> [--port P] [--strict] [--timeout-ms D] [--retries R] [--quiet]"
+        "usage:\n  affinity generate <sensor|stock> <path.afn> [n] [m]\n  affinity info <path.afn>\n  affinity csv <path.afn> <out.csv>\n  affinity query [--ooc[=MB]] [--shards[=K]] <path.afn> \"<statement>\" [more statements...]\n  affinity query [--quiet] --snapshot <snapshot-dir> \"<statement>\" [more statements...]\n  affinity snapshot <path.afn> <snapshot-dir>\n  affinity quality <path.afn>\n  affinity serve [--gen <sensor|stock>] [--series N] [--samples M] [--window W] [--resume DIR | --persist DIR]\n                 [--port P] [--workers N] [--queue CAP] [--deadline-ms D] [--shed-oldest] [--churn-ms MS] [--chaos] [--quiet]\n                 [--shard I --shards K]\n  affinity coord [--shards K] [--gen <sensor|stock>] [--series N] [--samples M] [--window W] [--workers N]\n                 [--port P] [--strict] [--timeout-ms D] [--retries R] [--persist-root DIR] [--chaos] [--quiet]\n  affinity coord --attach <addr,addr,...> [--port P] [--strict] [--timeout-ms D] [--retries R] [--quiet]"
     );
     ExitCode::from(2)
 }
@@ -270,12 +267,10 @@ fn print_recovery(report: &RecoveryReport, series: usize) {
 fn query(args: &[String]) -> Result<ExitCode, String> {
     // Optional leading flags (any order): `--ooc[=MB]` streams the
     // build through a bounded-memory column cache instead of
-    // materializing the matrix; `--prefetch[=K]` adds the cache's
-    // background readahead worker; `--shards[=K]` partitions the model
+    // materializing the matrix; `--shards[=K]` partitions the model
     // along cluster cuts and answers through the cross-shard merge
     // layer (bit-identical answers, so purely a scale-out knob).
     let mut ooc_budget: Option<usize> = None;
-    let mut prefetch_depth: Option<usize> = None;
     let mut shards: Option<usize> = None;
     let mut from_snapshot = false;
     let mut quiet = false;
@@ -290,10 +285,6 @@ fn query(args: &[String]) -> Result<ExitCode, String> {
         } else if let Some(mb) = flag.strip_prefix("--ooc=") {
             let mb: usize = mb.parse().map_err(|_| "bad --ooc=<MB> value")?;
             ooc_budget = Some(mb << 20);
-        } else if flag == "--prefetch" {
-            prefetch_depth = Some(8);
-        } else if let Some(k) = flag.strip_prefix("--prefetch=") {
-            prefetch_depth = Some(k.parse().map_err(|_| "bad --prefetch=<K> value")?);
         } else if flag == "--shards" {
             shards = Some(4);
         } else if let Some(k) = flag.strip_prefix("--shards=") {
@@ -306,9 +297,6 @@ fn query(args: &[String]) -> Result<ExitCode, String> {
             break;
         }
         rest = &rest[1..];
-    }
-    if prefetch_depth.is_some() && ooc_budget.is_none() {
-        return Err("--prefetch only applies to the --ooc streamed build".into());
     }
     if from_snapshot && ooc_budget.is_some() {
         return Err("--snapshot opens a persisted model; --ooc does not apply".into());
@@ -352,17 +340,12 @@ fn query(args: &[String]) -> Result<ExitCode, String> {
     if let Some(budget) = ooc_budget {
         let store = MatrixStore::open(path).map_err(|e| e.to_string())?;
         let labels = store.labels().to_vec();
-        let source =
-            CachedStore::with_budget_bytes(store, budget).prefetching(prefetch_depth.unwrap_or(0));
+        let source = CachedStore::with_budget_bytes(store, budget);
         eprintln!(
-            "out-of-core: caching up to {} of {} columns ({} MB budget{})",
+            "out-of-core: caching up to {} of {} columns ({} MB budget)",
             source.capacity().min(source.store().series_count()),
             source.store().series_count(),
-            budget >> 20,
-            match source.prefetch_depth() {
-                0 => String::new(),
-                k => format!(", prefetch depth {k}"),
-            }
+            budget >> 20
         );
         if let Some(k) = shards {
             let model =
@@ -807,18 +790,13 @@ fn coord(args: &[String]) -> Result<(), String> {
             return Err(e.to_string());
         }
     };
-    let expected_series = coordinator.meta().series;
-    let expected_assignments = coordinator.meta().plan.assignments().to_vec();
     let fleet = remotes.len();
-    let server = CoordServer::new(coordinator, remotes.clone());
+    let server = CoordServer::with_chaos(coordinator, remotes, chaos);
 
     let supervisor = Supervisor::new(
-        remotes,
-        std::sync::Arc::clone(server.ticks()),
+        &server,
         specs,
         children,
-        expected_series,
-        expected_assignments,
         Box::new(move |event| {
             if !quiet {
                 println!("COORD {event}");

@@ -19,16 +19,14 @@
 //! hides on a developer box: the store is wrapped in a latency-injecting
 //! [`SlowSource`] (per-request delay, `AFFINITY_LATENCY_US`, default
 //! 2500 — a contended spinning disk or a networked store) and the
-//! streamed build runs twice — prefetch off, then prefetch on
-//! (`AFFINITY_PREFETCH` readahead depth, default 12), best of three
-//! attempts each against host steal-time noise. The cold section
-//! uses its own dataset shape (many, shorter columns) because that is
-//! the regime where per-request latency — not per-sample arithmetic —
-//! dominates the build. With the delay standing in for seek-dominated
-//! media, the announced-pattern prefetcher overlaps reads with compute
-//! and batches contiguous runs into single region requests; both
-//! builds are asserted bit-identical to a resident build of the same
-//! data, and the off/on wall-clock ratio is the headline number.
+//! streamed build runs best of three attempts against host steal-time
+//! noise. The cold section uses its own dataset shape (many, shorter
+//! columns) because that is the regime where per-request latency — not
+//! per-sample arithmetic — dominates the build. With the delay standing
+//! in for seek-dominated media, each cache miss reads the announced
+//! columns after it in the same region request, so the read-request
+//! count and the build time are the headline numbers; the build is
+//! asserted bit-identical to a resident build of the same data.
 //! `AFFINITY_LATENCY_US=0` skips the section; `AFFINITY_CACHE_COLS`
 //! overrides the cache budget (CI runs a starved 2-column config).
 //!
@@ -263,25 +261,23 @@ fn main() {
             mb(matrix_bytes)
         );
     }
-    // The long-series model is no longer needed; free it so the cold
-    // section's heap floor is its own models only.
+    // The long-series model and SYMEX are no longer needed; free them
+    // so the cold section's heap floor is its own models only (the
+    // SYMEX pool lanes keep thread-local column buffers sized for `m`).
     drop((resident_affine, resident_index));
+    drop(symex);
+    let symex = affinity_bench::default_symex();
 
-    // --- Cold-read section: injected latency, prefetch off vs on --------
+    // --- Cold-read section: injected latency -----------------------------
     // The OS page cache serves the store reads above from RAM, which
-    // hides exactly the latency asynchronous prefetching overlaps; a
-    // per-read sleep stands in for seek-dominated media. The section
-    // runs its own dataset *shape* — many short columns — because that
-    // is the regime where per-request latency (not per-sample
-    // arithmetic) dominates the build; the long-series dataset above
-    // answers the memory-bound question, this one the I/O-scheduling
-    // question.
-    // 2.5 ms per request models a contended spinning disk or a networked
-    // store; depth 12 keeps one span in flight while the rest of the
-    // readahead buffers the consumer (the cache clamps the depth to its
-    // capacity − 1 either way).
+    // hides exactly the latency readahead amortizes; a per-read sleep
+    // stands in for seek-dominated media. The section runs its own
+    // dataset *shape* — many short columns — because that is the regime
+    // where per-request latency (not per-sample arithmetic) dominates
+    // the build; the long-series dataset above answers the memory-bound
+    // question, this one the I/O-scheduling question. 2.5 ms per
+    // request models a contended spinning disk or a networked store.
     let latency_us = env_usize("AFFINITY_LATENCY_US", 2500);
-    let prefetch_depth = env_usize("AFFINITY_PREFETCH", 12);
     let (default_cold_n, default_cold_m) = match scale {
         Scale::Quick => (48, 3_000),
         Scale::Mid => (96, 10_000),
@@ -289,9 +285,8 @@ fn main() {
     };
     let cold_n = env_usize("AFFINITY_COLD_SERIES", default_cold_n);
     let cold_m = env_usize("AFFINITY_COLD_SAMPLES", default_cold_m);
-    // A sixth of the columns: headroom for the readahead depth while
-    // the budget stays well under the matrix (the assertion below) and
-    // the prefetch-off baseline still misses like cold storage.
+    // A sixth of the columns: room for full readahead spans while the
+    // budget stays well under the matrix (the assertion below).
     let cold_cache_cols = env_usize("AFFINITY_CACHE_COLS", (cold_n / 6).max(8));
     let cold_matrix_bytes = cold_n * cold_m * 8;
     let cold = (latency_us > 0).then(|| {
@@ -301,60 +296,40 @@ fn main() {
         MatrixStore::create(&cold_path, &cold_data).expect("write cold store");
         let (cold_affine, cold_index) = build_resident(&cold_data, &symex);
         drop(cold_data);
-        let mut phases = Vec::new();
-        // AFFINITY_PREFETCH=0 degenerates to the off-phase alone (no
-        // duplicate JSON key, no off-vs-off "speedup").
-        let depths: &[usize] = if prefetch_depth == 0 {
-            &[0]
-        } else {
-            &[0, prefetch_depth]
-        };
-        for &depth in depths {
-            // Best of 3: the wall clock of a sleep-heavy phase is at
-            // the mercy of host steal time on shared boxes; the min of
-            // a few runs is robust against an intermittent burst while
-            // still honest (a burst can only inflate, never deflate).
-            let mut best: Option<(Phase, CacheStats, u64)> = None;
-            for _attempt in 0..3 {
-                let slow =
-                    SlowSource::new(MatrixStore::open(&cold_path).expect("open store"), delay);
-                let source = CachedStore::with_prefetch(slow, cold_cache_cols, depth);
-                reset_peak();
-                let ((affine, index), secs) = time(|| build_streamed(&source, &symex));
-                let phase = Phase {
-                    secs,
-                    peak_heap: peak_bytes(),
-                };
-                assert_same_model(
-                    &cold_affine,
-                    &cold_index,
-                    &affine,
-                    &index,
-                    &format!("cold, prefetch depth {depth}"),
+        // Best of 3: the wall clock of a sleep-heavy phase is at the
+        // mercy of host steal time on shared boxes; the min of a few
+        // runs is robust against an intermittent burst while still
+        // honest (a burst can only inflate, never deflate).
+        let mut best: Option<(Phase, CacheStats, u64)> = None;
+        for _attempt in 0..3 {
+            let slow = SlowSource::new(MatrixStore::open(&cold_path).expect("open store"), delay);
+            let source = CachedStore::new(slow, cold_cache_cols);
+            reset_peak();
+            let ((affine, index), secs) = time(|| build_streamed(&source, &symex));
+            let phase = Phase {
+                secs,
+                peak_heap: peak_bytes(),
+            };
+            assert_same_model(&cold_affine, &cold_index, &affine, &index, "cold");
+            // As for the long-series phases: at quick scale the O(n²)
+            // model rivals the deliberately tiny matrix, so the bound
+            // is only meaningful at mid/full.
+            if scale != Scale::Quick {
+                assert!(
+                    phase.peak_heap < cold_matrix_bytes,
+                    "cold streamed peak {:.1} MB exceeds the {:.1} MB matrix",
+                    mb(phase.peak_heap),
+                    mb(cold_matrix_bytes)
                 );
-                // As for the long-series phases: at quick scale the
-                // O(n²) model rivals the deliberately tiny matrix, so
-                // the bound is only meaningful at mid/full.
-                if scale != Scale::Quick {
-                    assert!(
-                        phase.peak_heap < cold_matrix_bytes,
-                        "cold streamed peak (depth {depth}) {:.1} MB exceeds the {:.1} MB matrix",
-                        mb(phase.peak_heap),
-                        mb(cold_matrix_bytes)
-                    );
-                }
-                source.quiesce();
-                let stats = source.stats();
-                let reads = source.store().reads();
-                if best.as_ref().is_none_or(|(b, _, _)| phase.secs < b.secs) {
-                    best = Some((phase, stats, reads));
-                }
             }
-            let (phase, stats, reads) = best.expect("two attempts ran");
-            phases.push((depth, phase, stats, reads));
+            let stats = source.stats();
+            let reads = source.store().reads();
+            if best.as_ref().is_none_or(|(b, _, _)| phase.secs < b.secs) {
+                best = Some((phase, stats, reads));
+            }
         }
         std::fs::remove_file(&cold_path).ok();
-        phases
+        best.expect("three attempts ran")
     });
     std::fs::remove_file(&path).ok();
 
@@ -366,10 +341,8 @@ fn main() {
         ("resident".into(), &resident),
         ("streamed (page cache)".into(), &streamed),
     ];
-    if let Some(cold) = &cold {
-        for (depth, phase, _, _) in cold {
-            rows.push((format!("cold, prefetch={depth}"), phase));
-        }
+    if let Some((phase, _, _)) = &cold {
+        rows.push(("cold (injected latency)".into(), phase));
     }
     for (name, phase) in rows {
         println!(
@@ -387,31 +360,22 @@ fn main() {
         cache_stats.bypasses,
         100.0 * cache_stats.hits as f64 / (cache_stats.hits + cache_stats.misses).max(1) as f64
     );
-    if let Some(cold) = &cold {
+    if let Some((phase, stats, reads)) = &cold {
         println!(
             "cold reads: {cold_n} series x {cold_m} samples ({:.1} MB), {latency_us} us per read \
              request, {cold_cache_cols} columns cached",
             mb(cold_matrix_bytes)
         );
-        for (depth, phase, stats, reads) in cold {
-            println!(
-                "  prefetch={depth}: {} build, {reads} read requests; cache {} hits / {} misses; \
-                 prefetcher issued {} (hits {}, wasted {}, queue-full events {})",
-                fmt_secs(phase.secs),
-                stats.hits,
-                stats.misses,
-                stats.prefetch.issued,
-                stats.prefetch.hits,
-                stats.prefetch.wasted,
-                stats.prefetch.queue_full
-            );
-        }
-        if let [(_, off, _, _), (_, on, _, _)] = cold.as_slice() {
-            println!(
-                "  cold-build speedup, prefetch on vs off: {:.2}x",
-                off.secs / on.secs
-            );
-        }
+        println!(
+            "  {} build, {reads} read requests; cache {} hits / {} misses; \
+             readahead issued {} (hits {}, wasted {})",
+            fmt_secs(phase.secs),
+            stats.hits,
+            stats.misses,
+            stats.prefetch.issued,
+            stats.prefetch.hits,
+            stats.prefetch.wasted
+        );
     }
     if let Some(hwm) = vm_hwm_kb() {
         println!(
@@ -434,7 +398,7 @@ fn main() {
             &cache_stats,
             latency_us,
             (cold_n, cold_m, cold_cache_cols),
-            cold.as_deref(),
+            cold.as_ref(),
         );
         std::fs::write(&out, json).expect("write bench JSON");
         println!("wrote baseline to {out}");
@@ -454,7 +418,7 @@ fn to_json(
     cache: &CacheStats,
     latency_us: usize,
     cold_shape: (usize, usize, usize),
-    cold: Option<&[(usize, Phase, CacheStats, u64)]>,
+    cold: Option<&(Phase, CacheStats, u64)>,
 ) -> String {
     let mut s = String::new();
     let _ = writeln!(s, "{{");
@@ -489,34 +453,23 @@ fn to_json(
         "  \"streamed_peak_over_matrix\": {:.4},",
         streamed.peak_heap as f64 / matrix_bytes as f64
     );
-    if let Some(cold) = cold {
+    if let Some((phase, stats, reads)) = cold {
         let (cold_n, cold_m, cold_cache_cols) = cold_shape;
         let _ = writeln!(s, "  \"cold_latency_us\": {latency_us},");
         let _ = writeln!(s, "  \"cold_series\": {cold_n},");
         let _ = writeln!(s, "  \"cold_samples\": {cold_m},");
         let _ = writeln!(s, "  \"cold_cache_columns\": {cold_cache_cols},");
-        for (depth, phase, stats, reads) in cold {
-            let key = if *depth == 0 {
-                "cold_prefetch_off".to_string()
-            } else {
-                format!("cold_prefetch_on_depth_{depth}")
-            };
-            let _ = writeln!(
-                s,
-                "  \"{key}\": {{\"build_secs\": {:.6}, \"peak_heap_bytes\": {}, \"read_requests\": {reads}, \"cache_hits\": {}, \"cache_misses\": {}, \"prefetch_issued\": {}, \"prefetch_hits\": {}, \"prefetch_wasted\": {}, \"prefetch_queue_full\": {}}},",
-                phase.secs,
-                phase.peak_heap,
-                stats.hits,
-                stats.misses,
-                stats.prefetch.issued,
-                stats.prefetch.hits,
-                stats.prefetch.wasted,
-                stats.prefetch.queue_full
-            );
-        }
-        if let [(_, off, _, _), (_, on, _, _)] = cold {
-            let _ = writeln!(s, "  \"cold_prefetch_speedup\": {:.4},", off.secs / on.secs);
-        }
+        let _ = writeln!(
+            s,
+            "  \"cold\": {{\"build_secs\": {:.6}, \"peak_heap_bytes\": {}, \"read_requests\": {reads}, \"cache_hits\": {}, \"cache_misses\": {}, \"prefetch_issued\": {}, \"prefetch_hits\": {}, \"prefetch_wasted\": {}}},",
+            phase.secs,
+            phase.peak_heap,
+            stats.hits,
+            stats.misses,
+            stats.prefetch.issued,
+            stats.prefetch.hits,
+            stats.prefetch.wasted
+        );
     }
     let _ = writeln!(s, "  \"bit_identical\": true");
     let _ = writeln!(s, "}}");

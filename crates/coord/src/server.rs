@@ -20,6 +20,9 @@
 //! .stats         the conservation ledger (key=value pairs)
 //! .health        per-shard breaker state + resync flags + tick count
 //! .tick <k>      fan k replay ticks to every attached shard server
+//! .respawn hold|release
+//!                park / resume the supervisor's respawn of dead shards
+//!                (servers started with chaos only)
 //! .shutdown      graceful shutdown
 //! ```
 //!
@@ -56,6 +59,12 @@ pub struct CoordServer {
     /// (which reads it under the same lock) can never readmit a shard
     /// against a moving target.
     ticks: Arc<RwLock<u64>>,
+    /// Accept `.respawn` (chaos testing only).
+    chaos: bool,
+    /// Set by `.respawn hold`: the supervisor leaves dead shards down
+    /// until `.respawn release`, so a test can probe a dead fleet
+    /// without racing the heal.
+    respawn_hold: Arc<AtomicBool>,
     shutdown: AtomicBool,
 }
 
@@ -64,6 +73,16 @@ impl CoordServer {
     /// backends in shard order when serving a remote fleet; pass an
     /// empty vector for in-process backends.
     pub fn new(coordinator: Coordinator, remotes: Vec<Arc<RemoteShard>>) -> Arc<CoordServer> {
+        Self::with_chaos(coordinator, remotes, false)
+    }
+
+    /// [`CoordServer::new`], accepting the `.respawn` fault-injection
+    /// command when `chaos` is set.
+    pub fn with_chaos(
+        coordinator: Coordinator,
+        remotes: Vec<Arc<RemoteShard>>,
+        chaos: bool,
+    ) -> Arc<CoordServer> {
         // Seed the tick ledger with the fleet's baseline (window
         // warm-up counts as ticks), so re-heal parity targets match
         // what `.epoch` reports on the shard servers.
@@ -72,6 +91,8 @@ impl CoordServer {
             coordinator,
             remotes,
             ticks: Arc::new(RwLock::new(baseline)),
+            chaos,
+            respawn_hold: Arc::new(AtomicBool::new(false)),
             shutdown: AtomicBool::new(false),
         })
     }
@@ -84,6 +105,11 @@ impl CoordServer {
     /// The fleet tick target, shared with the supervisor's re-heal.
     pub fn ticks(&self) -> &Arc<RwLock<u64>> {
         &self.ticks
+    }
+
+    /// The `.respawn hold` flag, shared with the supervisor.
+    pub(crate) fn respawn_hold(&self) -> &Arc<AtomicBool> {
+        &self.respawn_hold
     }
 
     /// The TCP backends, in shard order (empty when in-process).
@@ -151,6 +177,14 @@ impl CoordServer {
                     None => "-err usage: .tick <1..=1000000>\n".to_string(),
                 }
             }
+            Some("respawn") if !self.chaos => "-err fault injection disabled\n".to_string(),
+            Some("respawn") => match parts.get(1).copied() {
+                Some(arg @ ("hold" | "release")) => {
+                    self.respawn_hold.store(arg == "hold", Ordering::Release);
+                    format!("+respawn {arg}\n")
+                }
+                _ => "-err usage: .respawn <hold|release>\n".to_string(),
+            },
             Some("shutdown") => {
                 conn.send("+bye\n");
                 self.request_shutdown();

@@ -22,6 +22,7 @@
 
 use crate::proto::{decode_response, ShardRequest, ShardResponse};
 use crate::remote::RemoteShard;
+use crate::server::CoordServer;
 use parking_lot::{Mutex, RwLock};
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
@@ -191,30 +192,34 @@ pub struct Supervisor {
     /// readmission.
     expected_series: usize,
     expected_assignments: Vec<u32>,
+    /// The server's `.respawn hold` flag: while set, dead shards stay
+    /// down.
+    respawn_hold: Arc<AtomicBool>,
     stop: AtomicBool,
     on_event: Box<dyn Fn(&str) + Send + Sync>,
 }
 
 impl Supervisor {
-    /// Build a supervisor over an already-running fleet. `children`
-    /// must align with `specs` (both empty for attach mode). Events
-    /// (respawn, heal, wipe) are reported through `on_event`.
+    /// Build a supervisor over `server`'s already-running fleet: its
+    /// TCP backends, tick target, fleet identity and `.respawn hold`
+    /// flag. `children` must align with `specs` (both empty for attach
+    /// mode). Events (respawn, heal, wipe) are reported through
+    /// `on_event`.
     pub fn new(
-        remotes: Vec<Arc<RemoteShard>>,
-        ticks: Arc<RwLock<u64>>,
+        server: &CoordServer,
         specs: Vec<ShardSpec>,
         children: Vec<Child>,
-        expected_series: usize,
-        expected_assignments: Vec<u32>,
         on_event: Box<dyn Fn(&str) + Send + Sync>,
     ) -> Arc<Supervisor> {
+        let meta = server.coordinator().meta();
         Arc::new(Supervisor {
-            remotes,
-            ticks,
+            remotes: server.remotes().to_vec(),
+            ticks: Arc::clone(server.ticks()),
             specs,
             children: Mutex::new(children.into_iter().map(Some).collect()),
-            expected_series,
-            expected_assignments,
+            expected_series: meta.series,
+            expected_assignments: meta.plan.assignments().to_vec(),
+            respawn_hold: Arc::clone(server.respawn_hold()),
             stop: AtomicBool::new(false),
             on_event,
         })
@@ -314,6 +319,14 @@ impl Supervisor {
         // shard until the re-heal proves parity.
         remote.mark_resync();
         self.event(&format!("down shard={shard}"));
+        // `.respawn hold` (chaos only): the shard stays down, answers
+        // stay typed-degraded, until the test releases it.
+        while self.respawn_hold.load(Ordering::Acquire) && !self.stopping() {
+            std::thread::sleep(MONITOR_EVERY);
+        }
+        if self.stopping() {
+            return false;
+        }
         let Some(spec) = self.specs.get(shard) else {
             return false;
         };

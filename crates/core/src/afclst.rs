@@ -44,9 +44,9 @@
 //!
 //! Because each pass knows its column sequence up front, it *announces*
 //! it to the source ([`SeriesSource::prefetch`], a sliding window ahead
-//! of the scan): a prefetching cache overlaps the next columns' I/O
-//! with the current column's arithmetic, while resident sources ignore
-//! the hint entirely.
+//! of the scan): a caching source reads the next announced columns in
+//! the same request as a miss, while resident sources ignore the hint
+//! entirely.
 
 // Index-based loops over matrix coordinates are the clearest notation
 // for these kernels.

@@ -1,9 +1,9 @@
 //! A latency-injecting column-read double for I/O-overlap experiments.
 //!
 //! On a developer box the OS page cache serves "cold" store reads in
-//! microseconds, which hides exactly the latency an asynchronous
-//! prefetcher exists to overlap (the honest-measurement gap recorded
-//! for the first out-of-core benchmark run). [`SlowSource`] wraps any
+//! microseconds, which hides exactly the latency that readahead exists
+//! to amortize (the honest-measurement gap recorded for the first
+//! out-of-core benchmark run). [`SlowSource`] wraps any
 //! [`ColumnRead`] backing and charges a configurable delay per read
 //! *request* — one sleep per [`ColumnRead::read_column`] call and one
 //! per [`ColumnRead::read_column_range`] call, mimicking

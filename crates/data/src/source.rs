@@ -99,8 +99,9 @@ pub trait SeriesSource: Sync {
 
     /// Advisory announcement that the caller is about to read `cols`,
     /// **in this order**. Resident sources ignore it (the default
-    /// no-op); caching sources may start pulling the columns from their
-    /// backing store ahead of the consumer so compute overlaps I/O.
+    /// no-op); caching sources may read announced columns together
+    /// with an earlier miss, so several columns cost one backing
+    /// request.
     ///
     /// Purely a scheduling hint: it must not change what any fetch
     /// returns, and callers never need to announce to be correct. Every
@@ -199,22 +200,19 @@ pub fn scan_sequence(n: usize) -> Vec<u32> {
 }
 
 /// How far ahead of the consumer's position [`prefetch_window`]
-/// announces. Comfortably larger than any realistic readahead depth
-/// *plus* one in-flight span (columns already prefetched are
-/// deduplicated away, so only the window's tail past the resident
-/// readahead actually feeds the queue) — the bounded queue, not the
-/// window, is what limits readahead.
+/// announces. Comfortably larger than any readahead span plus the gaps
+/// it may bridge — the span budget, not the window, is what limits
+/// readahead.
 pub const PREFETCH_WINDOW: usize = 64;
 
 /// Announce the next [`PREFETCH_WINDOW`] entries of a planned column
 /// sequence, starting at the entry about to be consumed.
 ///
 /// Sequential passes call this once per iteration, *before* fetching
-/// `seq[pos]`. Caching sources dedup entries that are already queued,
+/// `seq[pos]`. Caching sources dedup entries that are already planned,
 /// cached, or in flight, so the repeated overlap costs a few hash
-/// probes per column — and entries a bounded readahead queue had to
-/// drop earlier are naturally re-announced as the window slides over
-/// them, so queue pressure never punches permanent holes in coverage.
+/// probes per column — and entries a bounded plan had to drop earlier
+/// are naturally re-announced as the window slides over them.
 pub fn prefetch_window<S: SeriesSource + ?Sized>(source: &S, seq: &[u32], pos: usize) {
     let end = (pos + PREFETCH_WINDOW).min(seq.len());
     if pos < end {
@@ -253,7 +251,7 @@ pub trait ColumnRead: Send + Sync {
     /// The default loops [`ColumnRead::read_column`]; backends whose
     /// layout is contiguous (the `MatrixStore` file format) override it
     /// to fetch the whole region in **one** read request, which is what
-    /// makes readahead batching worthwhile on high-latency media.
+    /// makes miss-path readahead worthwhile on high-latency media.
     ///
     /// # Errors
     /// Propagates per-column read failures; `sink` is only called for

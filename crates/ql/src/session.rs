@@ -219,11 +219,9 @@ impl<'a> Session<'a> {
     /// (a store keeps them in its header).
     ///
     /// The construction passes announce their column sequences via
-    /// [`SeriesSource::prefetch`], so handing this a `CachedStore`
-    /// built with a prefetch worker (the CLI's `--ooc --prefetch`
-    /// combination) overlaps the session's cold reads with its
-    /// preprocessing arithmetic; the session built is bit-for-bit the
-    /// same either way.
+    /// [`SeriesSource::prefetch`], so a `CachedStore` serves each cold
+    /// miss together with the announced columns after it in one region
+    /// read; the session built is bit-for-bit the same either way.
     ///
     /// # Errors
     /// [`QlError::Engine`] on label/shape mismatches, fetch failures,

@@ -13,32 +13,66 @@
 //! distinct columns from disk concurrently; the lock is held only for
 //! the in-memory bookkeeping and memcpys. Concurrent fetches of the
 //! *same* column are deduplicated: the second reader waits for the
-//! first (or for the prefetcher) instead of decoding the column twice.
+//! first instead of decoding the column twice.
 //!
-//! ## Asynchronous prefetching
+//! ## Readahead on the miss
 //!
-//! Construct with [`CachedStore::with_prefetch`] (or upgrade with
-//! [`CachedStore::prefetching`]) and the cache spawns one background
-//! worker that services [`SeriesSource::prefetch`] announcements: the
-//! model-construction passes announce their upcoming column sequence,
-//! and the worker pulls those columns from the backing store — batching
-//! contiguous runs into one region read — while the consumer computes,
-//! staying at most `depth` unconsumed columns ahead. See the
-//! [`prefetch`](crate::prefetch) module docs for the pipeline
-//! lifecycle, and [`PrefetchStats`] (inside [`CacheStats`]) for the
-//! counters.
+//! The model-construction passes announce their upcoming column
+//! sequence through [`SeriesSource::prefetch`]; the cache records the
+//! announced, uncached columns in a bounded plan set. A consumer miss
+//! on column `v` then extends its own read forward over planned
+//! columns (bridging short runs of unannounced ones) and
+//! fetches the whole span with **one**
+//! [`ColumnRead::read_column_range`] request — on seek-dominated media
+//! about the cost of `v` alone. `v` goes to the caller; the rest are
+//! admitted marked `prefetched`, and [`PrefetchStats`] (inside
+//! [`CacheStats`]) counts how many were later touched or evicted
+//! unread. A span holds at most `min(MAX_SPAN, unpinned slots / 2)`
+//! columns, so readahead can never flush the cache.
 //!
 //! The backing is any [`ColumnRead`]: the on-disk [`MatrixStore`] in
 //! production, or e.g. a latency-injecting
 //! [`SlowSource`](affinity_data::slow::SlowSource) in I/O-overlap
 //! experiments.
 
-use crate::prefetch::{self, PrefetchStats};
 use crate::store::MatrixStore;
+use affinity_data::source::PREFETCH_WINDOW;
 use affinity_data::{ColumnRead, SeriesSource, SourceError};
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::collections::{HashMap, HashSet};
+use std::sync::{Condvar, Mutex, MutexGuard};
+
+/// Most columns one miss reads: bounds the span's single region
+/// request (and the lock-held admissions that follow it).
+const MAX_SPAN: usize = 8;
+
+/// A span bridges runs of up to this many unannounced columns between
+/// announced ones: a fragmented announcement (e.g. an AFCLST power pass
+/// visiting only the active clusters' members) is still fetched as one
+/// contiguous request. On seek-dominated media the extra contiguous
+/// bytes are nearly free, while splitting the span would pay the
+/// per-request latency per fragment.
+const MAX_SPAN_GAP: usize = 8;
+
+/// Plan entries per cache slot: the plan set holds
+/// `PLAN_PER_SLOT · capacity` columns (at least one announcement
+/// window), and an announcement that would overflow it clears it.
+const PLAN_PER_SLOT: usize = 8;
+
+/// Counters of the miss-path readahead, nested inside [`CacheStats`].
+/// `issued == hits + wasted +`
+/// [`CachedStore::prefetched_unconsumed`] holds whenever no read is in
+/// flight.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PrefetchStats {
+    /// Span columns beyond the missed one fetched from the backing.
+    pub issued: u64,
+    /// Consumer fetches (or pins) served by a readahead column's first
+    /// touch — reads that would otherwise have gone to disk.
+    pub hits: u64,
+    /// Readahead columns thrown away untouched (evicted first, already
+    /// cached, or not admittable because every slot was pinned).
+    pub wasted: u64,
+}
 
 /// Hit/miss counters of a [`CachedStore`], for benchmarks and tuning.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -51,165 +85,34 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Fetches that bypassed the cache because every slot was pinned.
     pub bypasses: u64,
-    /// Counters of the background prefetcher (all zero when prefetching
-    /// is disabled).
+    /// Readahead counters (all zero when nothing was announced).
     pub prefetch: PrefetchStats,
 }
 
 /// One cached column.
 #[derive(Debug)]
-pub(crate) struct Slot {
-    pub(crate) series: usize,
-    pub(crate) data: Vec<f64>,
-    pub(crate) last_used: u64,
-    pub(crate) pins: u32,
-    /// Brought in by the prefetcher and not consumed yet; cleared (and
+struct Slot {
+    series: usize,
+    data: Vec<f64>,
+    last_used: u64,
+    pins: u32,
+    /// Read ahead of any request and not touched yet; cleared (and
     /// counted as a prefetch hit) on first touch.
-    pub(crate) prefetched: bool,
+    prefetched: bool,
 }
 
 #[derive(Debug, Default)]
-pub(crate) struct CacheInner {
+struct CacheInner {
     /// series → index into `slots`.
-    pub(crate) map: HashMap<usize, usize>,
-    pub(crate) slots: Vec<Slot>,
-    pub(crate) tick: u64,
-    pub(crate) stats: CacheStats,
-    /// Announced upcoming columns, consumed front-to-back by the
-    /// prefetch worker (bounded by `Shared::plan_cap`).
-    pub(crate) plan: VecDeque<u32>,
-    /// Membership mirror of `plan`, for O(1) dedup of announcements.
-    pub(crate) planned: HashSet<u32>,
-    /// Columns currently being read from the backing store (by the
-    /// worker or a consumer); other readers wait instead of re-reading.
-    pub(crate) inflight: HashSet<usize>,
-    /// Prefetched-but-unconsumed columns resident right now — the
-    /// worker's readahead credit; it stalls at `Shared::depth`.
-    pub(crate) ahead: usize,
-    /// `stats.prefetch.issued` as of the last plan restart — rate-limits
-    /// restarts so parallel lanes announcing disjoint windows cannot
-    /// ping-pong-clear each other's plan on every call.
-    pub(crate) issued_at_restart: u64,
-}
-
-/// State shared between the cache handle and the prefetch worker.
-#[derive(Debug)]
-pub(crate) struct Shared<B> {
-    pub(crate) backing: B,
-    pub(crate) capacity: usize,
-    /// Effective readahead depth; 0 = prefetching disabled.
-    pub(crate) depth: usize,
-    /// Bound on `CacheInner::plan`; announcements beyond it are dropped
-    /// and counted in [`PrefetchStats::queue_full`].
-    pub(crate) plan_cap: usize,
-    pub(crate) inner: Mutex<CacheInner>,
-    /// Signals the worker: plan entries added or readahead credit freed.
-    pub(crate) work: Condvar,
-    /// Signals waiters of in-flight columns: a fetch completed.
-    pub(crate) served: Condvar,
-    pub(crate) shutdown: AtomicBool,
-}
-
-impl<B: ColumnRead> Shared<B> {
-    pub(crate) fn lock(&self) -> std::sync::MutexGuard<'_, CacheInner> {
-        self.inner.lock().expect("cache mutex")
-    }
-
-    /// Minimum free readahead credit before the worker issues another
-    /// fetch (half the depth, at least one). Waiting for credit to
-    /// accumulate lets the worker batch a contiguous *run* into one
-    /// region read instead of trickling one column per freed slot —
-    /// on seek-dominated media that amortizes the per-request latency
-    /// across the batch, which is most of the prefetch win. Half, not
-    /// all: the other half stays resident as the consumer's buffer, so
-    /// it keeps computing (draining credits) while the next span is in
-    /// flight — double buffering.
-    pub(crate) fn hysteresis(&self) -> usize {
-        (self.depth / 2).max(1)
-    }
-
-    /// The worker's wait predicate: nothing to do, or not enough free
-    /// credit accumulated yet to make a batch worthwhile.
-    pub(crate) fn worker_must_wait(&self, inner: &CacheInner) -> bool {
-        inner.plan.is_empty() || self.depth.saturating_sub(inner.ahead) < self.hysteresis()
-    }
-
-    /// Index of the least-recently-used unpinned slot, if any.
-    pub(crate) fn victim(inner: &CacheInner) -> Option<usize> {
-        inner
-            .slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.pins == 0)
-            .min_by_key(|(_, s)| s.last_used)
-            .map(|(i, _)| i)
-    }
-
-    /// Install the freshly read column in `buf` into the cache (slot
-    /// reuse on eviction). Called with the lock held, after a miss.
-    /// Returns `false` when every slot is pinned and the column could
-    /// not be admitted. Never evicts a pinned column; evicting a
-    /// prefetched-but-unconsumed one counts it as wasted and returns
-    /// its readahead credit.
-    pub(crate) fn admit(
-        &self,
-        inner: &mut CacheInner,
-        v: usize,
-        buf: &[f64],
-        prefetched: bool,
-    ) -> bool {
-        if inner.slots.len() < self.capacity {
-            let slot = inner.slots.len();
-            inner.slots.push(Slot {
-                series: v,
-                data: buf.to_vec(),
-                last_used: inner.tick,
-                pins: 0,
-                prefetched,
-            });
-            inner.map.insert(v, slot);
-            true
-        } else if let Some(slot) = Self::victim(inner) {
-            let old = inner.slots[slot].series;
-            inner.map.remove(&old);
-            inner.stats.evictions += 1;
-            if inner.slots[slot].prefetched {
-                // Evicted before anyone read it: the prefetch was wasted.
-                inner.stats.prefetch.wasted += 1;
-                inner.ahead -= 1;
-                self.work.notify_all();
-            }
-            let s = &mut inner.slots[slot];
-            s.series = v;
-            s.data.clear();
-            s.data.extend_from_slice(buf); // reuses the evicted buffer
-            s.last_used = inner.tick;
-            s.pins = 0;
-            s.prefetched = prefetched;
-            inner.map.insert(v, slot);
-            true
-        } else {
-            // Every slot pinned: serve without caching. `bypasses`
-            // counts *consumer* fetches that had to skip the cache; a
-            // dropped prefetch admission is the worker's problem and is
-            // already counted as wasted by its caller.
-            if !prefetched {
-                inner.stats.bypasses += 1;
-            }
-            false
-        }
-    }
-
-    /// First-touch accounting for a cached slot: a hit on a column the
-    /// prefetcher brought in consumes its readahead credit.
-    pub(crate) fn touch(&self, inner: &mut CacheInner, slot: usize) {
-        if inner.slots[slot].prefetched {
-            inner.slots[slot].prefetched = false;
-            inner.stats.prefetch.hits += 1;
-            inner.ahead -= 1;
-            self.work.notify_all();
-        }
-    }
+    map: HashMap<usize, usize>,
+    slots: Vec<Slot>,
+    tick: u64,
+    stats: CacheStats,
+    /// Announced columns not cached yet: what a miss's span may cover.
+    planned: HashSet<usize>,
+    /// Columns currently being read from the backing store; other
+    /// readers wait instead of re-reading.
+    inflight: HashSet<usize>,
 }
 
 /// An LRU column cache wrapping a [`ColumnRead`] backing (the on-disk
@@ -239,28 +142,22 @@ impl<B: ColumnRead> Shared<B> {
 /// ```
 #[derive(Debug)]
 pub struct CachedStore<B: ColumnRead = MatrixStore> {
-    shared: Arc<Shared<B>>,
-    worker: Option<std::thread::JoinHandle<()>>,
+    backing: B,
+    capacity: usize,
+    inner: Mutex<CacheInner>,
+    /// Signals waiters of in-flight columns: a fetch completed.
+    served: Condvar,
 }
 
 impl<B: ColumnRead> CachedStore<B> {
     /// Wrap `backing` with room for at most `capacity` cached columns
-    /// (clamped to at least 1). Prefetching is off; see
-    /// [`CachedStore::with_prefetch`].
+    /// (clamped to at least 1).
     pub fn new(backing: B, capacity: usize) -> Self {
-        let capacity = capacity.max(1);
         CachedStore {
-            shared: Arc::new(Shared {
-                backing,
-                capacity,
-                depth: 0,
-                plan_cap: 0, // set when a prefetch worker spawns
-                inner: Mutex::new(CacheInner::default()),
-                work: Condvar::new(),
-                served: Condvar::new(),
-                shutdown: AtomicBool::new(false),
-            }),
-            worker: None,
+            backing,
+            capacity: capacity.max(1),
+            inner: Mutex::new(CacheInner::default()),
+            served: Condvar::new(),
         }
     }
 
@@ -276,126 +173,142 @@ impl<B: ColumnRead> CachedStore<B> {
 
     /// The wrapped backing store.
     pub fn store(&self) -> &B {
-        &self.shared.backing
+        &self.backing
     }
 
     /// Maximum number of cached columns.
     pub fn capacity(&self) -> usize {
-        self.shared.capacity
+        self.capacity
     }
 
     /// The cache budget in bytes (`capacity · samples · 8`).
     pub fn budget_bytes(&self) -> usize {
-        self.shared.capacity * self.shared.backing.samples() * 8
+        self.capacity * self.backing.samples() * 8
     }
 
-    /// Effective readahead depth of the prefetcher (0 when disabled).
-    pub fn prefetch_depth(&self) -> usize {
-        self.shared.depth
-    }
-
-    /// Hit/miss counters so far (including prefetcher counters).
+    /// Hit/miss counters so far (including readahead counters).
     pub fn stats(&self) -> CacheStats {
-        self.shared.lock().stats
+        self.lock().stats
     }
 
-    /// Prefetched-but-unconsumed columns resident right now — for
-    /// stats-consistency assertions in tests (`issued` splits exactly
-    /// into `hits + wasted + prefetched_unconsumed`).
+    /// Readahead columns resident and not touched yet — for ledger
+    /// assertions (`issued == hits + wasted + prefetched_unconsumed`).
     pub fn prefetched_unconsumed(&self) -> usize {
-        self.shared.lock().ahead
+        self.lock().slots.iter().filter(|s| s.prefetched).count()
     }
 
-    /// Block until the prefetch worker is parked: nothing in flight,
-    /// and its wait predicate holds (plan drained, or readahead credit
-    /// below the batching hysteresis). Test/bench helper (returns
-    /// immediately when prefetching is off); the stats identity above
-    /// is only stable after quiescing.
-    pub fn quiesce(&self) {
-        if self.shared.depth == 0 {
-            return;
-        }
-        loop {
-            {
-                let inner = self.shared.lock();
-                if inner.inflight.is_empty() && self.shared.worker_must_wait(&inner) {
-                    return;
-                }
+    fn lock(&self) -> MutexGuard<'_, CacheInner> {
+        self.inner.lock().expect("cache mutex")
+    }
+
+    /// Index of the least-recently-used unpinned slot, if any.
+    fn victim(inner: &CacheInner) -> Option<usize> {
+        inner
+            .slots
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.pins == 0)
+            .min_by_key(|(_, s)| s.last_used)
+            .map(|(i, _)| i)
+    }
+
+    /// Install a freshly read column into the cache (slot reuse on
+    /// eviction). Called with the lock held. Returns `false` when every
+    /// slot is pinned and the column could not be admitted. Never
+    /// evicts a pinned column; evicting an untouched readahead column
+    /// counts it as wasted.
+    fn admit(&self, inner: &mut CacheInner, v: usize, buf: &[f64], prefetched: bool) -> bool {
+        inner.planned.remove(&v);
+        let slot = if inner.slots.len() < self.capacity {
+            inner.slots.push(Slot {
+                series: v,
+                data: Vec::new(),
+                last_used: 0,
+                pins: 0,
+                prefetched: false,
+            });
+            inner.slots.len() - 1
+        } else if let Some(slot) = Self::victim(inner) {
+            let old = inner.slots[slot].series;
+            inner.map.remove(&old);
+            inner.stats.evictions += 1;
+            if inner.slots[slot].prefetched {
+                inner.stats.prefetch.wasted += 1;
             }
-            std::thread::sleep(std::time::Duration::from_millis(1));
+            slot
+        } else {
+            // Every slot pinned: serve without caching. `bypasses`
+            // counts *consumer* fetches that skipped the cache; a
+            // dropped readahead column is counted wasted by the caller.
+            if !prefetched {
+                inner.stats.bypasses += 1;
+            }
+            return false;
+        };
+        let tick = inner.tick;
+        let s = &mut inner.slots[slot];
+        s.series = v;
+        s.data.clear();
+        s.data.extend_from_slice(buf); // reuses the evicted buffer
+        s.last_used = tick;
+        s.pins = 0;
+        s.prefetched = prefetched;
+        inner.map.insert(v, slot);
+        true
+    }
+
+    /// First-touch accounting for a cached slot.
+    fn touch(inner: &mut CacheInner, slot: usize) {
+        if inner.slots[slot].prefetched {
+            inner.slots[slot].prefetched = false;
+            inner.stats.prefetch.hits += 1;
         }
     }
-}
 
-impl<B: ColumnRead + Send + 'static> CachedStore<B> {
-    /// Like [`CachedStore::new`], plus a background prefetch worker
-    /// with readahead depth `depth` (0 leaves prefetching off; larger
-    /// depths are clamped so readahead can never flush the whole
-    /// cache: at most `capacity − 1` unconsumed columns, one slot
-    /// always left for the consumer's own misses).
-    pub fn with_prefetch(backing: B, capacity: usize, depth: usize) -> Self {
-        Self::new(backing, capacity).prefetching(depth)
-    }
-
-    /// Enable the background prefetcher on an existing cache (builder
-    /// style). A no-op for `depth == 0` or when a worker already runs.
-    pub fn prefetching(mut self, depth: usize) -> Self {
-        if depth == 0 || self.worker.is_some() {
-            return self;
+    /// Claim the span a miss on `v` reads: `v` plus the planned columns
+    /// after it (across gaps of at most `MAX_SPAN_GAP`), stopping at
+    /// the first cached or in-flight column and at the readahead budget.
+    /// Returns the span length; every span column is marked in flight.
+    fn claim_span(&self, inner: &mut CacheInner, v: usize) -> usize {
+        let pinned = inner.slots.iter().filter(|s| s.pins > 0).count();
+        let budget = ((self.capacity - pinned) / 2).clamp(1, MAX_SPAN);
+        let ahead = self.backing.series_count().saturating_sub(v);
+        let mut len = 1;
+        for k in 1..budget.min(ahead) {
+            let c = v + k;
+            if inner.map.contains_key(&c) || inner.inflight.contains(&c) || k - len > MAX_SPAN_GAP {
+                break;
+            }
+            if inner.planned.contains(&c) {
+                len = k + 1;
+            }
         }
-        let effective = depth.min(self.shared.capacity.saturating_sub(1)).max(1);
-        let shared =
-            Arc::get_mut(&mut self.shared).expect("no other handles before the worker spawns");
-        shared.depth = effective;
-        // The bounded readahead queue: announced-but-unfetched columns
-        // pend here, sized at a few multiples of the depth so the
-        // worker can always see a whole span's worth of upcoming
-        // sequence (a plan as small as the depth starves batching — the
-        // front run can never exceed what is queued). Consumers
-        // announce through a sliding window (`prefetch_window`), so
-        // entries dropped under pressure are simply re-announced as the
-        // scan advances.
-        shared.plan_cap = 4 * effective;
-        let shared = Arc::clone(&self.shared);
-        self.worker = Some(
-            std::thread::Builder::new()
-                .name("affinity-prefetch".into())
-                .spawn(move || prefetch::run(&shared))
-                .expect("spawn prefetch worker"),
-        );
-        self
-    }
-}
-
-impl<B: ColumnRead> Drop for CachedStore<B> {
-    fn drop(&mut self) {
-        if let Some(worker) = self.worker.take() {
-            self.shared.shutdown.store(true, Ordering::Release);
-            self.shared.work.notify_all();
-            worker.join().ok();
+        for c in (0..len).map(|k| v + k) {
+            inner.planned.remove(&c);
+            inner.inflight.insert(c);
         }
+        len
     }
 }
 
 impl<B: ColumnRead> SeriesSource for CachedStore<B> {
     fn samples(&self) -> usize {
-        self.shared.backing.samples()
+        self.backing.samples()
     }
 
     fn series_count(&self) -> usize {
-        self.shared.backing.series_count()
+        self.backing.series_count()
     }
 
     fn read_into<'a>(&'a self, v: usize, buf: &'a mut Vec<f64>) -> Result<&'a [f64], SourceError> {
-        let shared = &self.shared;
-        {
-            let mut inner = shared.lock();
+        let span = {
+            let mut inner = self.lock();
             loop {
                 inner.tick += 1;
                 let tick = inner.tick;
                 if let Some(&slot) = inner.map.get(&v) {
                     inner.stats.hits += 1;
-                    shared.touch(&mut inner, slot);
+                    Self::touch(&mut inner, slot);
                     let s = &mut inner.slots[slot];
                     s.last_used = tick;
                     buf.clear();
@@ -403,57 +316,94 @@ impl<B: ColumnRead> SeriesSource for CachedStore<B> {
                     return Ok(&buf[..]);
                 }
                 if inner.inflight.contains(&v) {
-                    // The prefetcher (or another lane) is already reading
-                    // this column; wait for it instead of decoding twice.
-                    inner = shared.served.wait(inner).expect("cache mutex");
+                    // Another lane is already reading this column; wait
+                    // for it instead of decoding twice.
+                    inner = self.served.wait(inner).expect("cache mutex");
                     continue;
                 }
                 inner.stats.misses += 1;
-                inner.inflight.insert(v);
-                break;
+                break self.claim_span(&mut inner, v);
             }
-        }
+        };
         // Miss: read from the backing store *outside* the lock so
-        // parallel lanes overlap their I/O, then admit the column.
-        let result = shared.backing.read_column(v, buf);
-        let mut inner = shared.lock();
-        inner.inflight.remove(&v);
-        if result.is_ok() && !inner.map.contains_key(&v) {
-            shared.admit(&mut inner, v, buf, false);
+        // parallel lanes overlap their I/O, then admit the columns.
+        if span == 1 {
+            let result = self.backing.read_column(v, buf);
+            let mut inner = self.lock();
+            inner.inflight.remove(&v);
+            if result.is_ok() && !inner.map.contains_key(&v) {
+                self.admit(&mut inner, v, buf, false);
+            }
+            drop(inner);
+            self.served.notify_all();
+            result?;
+            return Ok(&buf[..]);
+        }
+        // Span columns the sink resolved — a prefix, since the sink runs
+        // in ascending order. Cleanup below touches only the unresolved
+        // suffix: a resolved column may already be re-claimed by another
+        // lane whose own miss started after ours delivered it.
+        let mut resolved = 0usize;
+        let result = self.backing.read_column_range(v, span, &mut |c, col| {
+            let mut inner = self.lock();
+            inner.inflight.remove(&c);
+            resolved += 1;
+            inner.tick += 1;
+            if c == v {
+                buf.clear();
+                buf.extend_from_slice(col);
+                if !inner.map.contains_key(&c) {
+                    self.admit(&mut inner, c, col, false);
+                }
+            } else {
+                inner.stats.prefetch.issued += 1;
+                if inner.map.contains_key(&c) || !self.admit(&mut inner, c, col, true) {
+                    inner.stats.prefetch.wasted += 1;
+                }
+            }
+            drop(inner);
+            self.served.notify_all();
+        });
+        let mut inner = self.lock();
+        for c in v + resolved..v + span {
+            inner.inflight.remove(&c);
         }
         drop(inner);
-        shared.served.notify_all();
-        result?;
-        Ok(&buf[..])
+        self.served.notify_all();
+        // A failure past `v` is the readahead's, not this fetch's: the
+        // unread columns report it when they are fetched themselves.
+        match result {
+            Err(e) if resolved == 0 => Err(e),
+            _ => Ok(&buf[..]),
+        }
     }
 
     /// Pin series `v`: load it (evicting if needed) and protect it from
     /// eviction until unpinned. Advisory — if the column is absent and
     /// no slot could admit it (cache full of pins), the call returns
     /// without touching the backing store, and fetch correctness never
-    /// depends on a pin succeeding. Pinning a column the prefetcher
-    /// already brought in consumes it (a prefetch hit) instead of
-    /// re-reading it.
+    /// depends on a pin succeeding. Pinning a column read ahead by an
+    /// earlier miss consumes it (a prefetch hit) instead of re-reading
+    /// it.
     fn pin(&self, v: usize) {
-        let shared = &self.shared;
-        if v >= shared.backing.series_count() {
+        if v >= self.backing.series_count() {
             return;
         }
         {
-            let mut inner = shared.lock();
+            let mut inner = self.lock();
             loop {
                 if let Some(&slot) = inner.map.get(&v) {
-                    shared.touch(&mut inner, slot);
+                    Self::touch(&mut inner, slot);
                     inner.slots[slot].pins += 1;
                     return;
                 }
                 // Don't pay a backing read for a column that could not
                 // be admitted anyway.
-                if inner.slots.len() >= shared.capacity && Shared::<B>::victim(&inner).is_none() {
+                if inner.slots.len() >= self.capacity && Self::victim(&inner).is_none() {
                     return;
                 }
                 if inner.inflight.contains(&v) {
-                    inner = shared.served.wait(inner).expect("cache mutex");
+                    inner = self.served.wait(inner).expect("cache mutex");
                     continue;
                 }
                 inner.inflight.insert(v);
@@ -461,99 +411,60 @@ impl<B: ColumnRead> SeriesSource for CachedStore<B> {
             }
         }
         let mut buf = Vec::new();
-        let result = shared.backing.read_column(v, &mut buf);
-        let mut inner = shared.lock();
+        let result = self.backing.read_column(v, &mut buf);
+        let mut inner = self.lock();
         inner.inflight.remove(&v);
         if result.is_ok() {
             inner.tick += 1;
-            if let Some(&slot) = inner.map.get(&v) {
-                inner.slots[slot].pins += 1; // raced with a concurrent fetch
-            } else {
+            if !inner.map.contains_key(&v) {
                 inner.stats.misses += 1;
-                shared.admit(&mut inner, v, &buf, false);
-                if let Some(&slot) = inner.map.get(&v) {
-                    inner.slots[slot].pins += 1;
-                }
+                self.admit(&mut inner, v, &buf, false);
+            }
+            if let Some(&slot) = inner.map.get(&v) {
+                inner.slots[slot].pins += 1;
             }
         }
         // else: advisory — leave the error for the actual fetch.
         drop(inner);
-        shared.served.notify_all();
+        self.served.notify_all();
     }
 
     fn unpin(&self, v: usize) {
-        let mut inner = self.shared.lock();
+        let mut inner = self.lock();
         if let Some(&slot) = inner.map.get(&v) {
             let s = &mut inner.slots[slot];
             s.pins = s.pins.saturating_sub(1);
         }
     }
 
-    /// Queue `cols` for background readahead (in announcement order).
-    /// A no-op unless the cache was built with
-    /// [`CachedStore::with_prefetch`]; columns already cached, already
-    /// queued, already being read, or out of range are skipped. The
-    /// readahead queue holds a small multiple of `depth` pending
-    /// columns (enough for the worker to see whole spans of upcoming
-    /// sequence).
-    ///
-    /// On pressure, the *nearest* announced work wins: a steady sliding
-    /// window simply has its excess tail dropped (the window will offer
-    /// it again), but when a full queue contains none of the
-    /// announcer's first actionable column, its content is a stale past
-    /// — a new pass started, or the consumer outran the worker past
-    /// everything queued — and the queue restarts from this
-    /// announcement. Either way one [`PrefetchStats::queue_full`] event
-    /// is counted per call that discarded something.
+    /// Record `cols` as planned, for later misses to read ahead over.
+    /// Columns already cached, in flight, or out of range are skipped.
+    /// The plan holds `8 · capacity` columns (at least one announcement
+    /// window); an announcement that would overflow it clears it first
+    /// — the old entries are a stale past — and then keeps its own
+    /// nearest columns.
     fn prefetch(&self, cols: &[u32]) {
-        let shared = &self.shared;
-        if shared.depth == 0 {
-            return;
+        let n = self.backing.series_count();
+        let cap = (PLAN_PER_SLOT * self.capacity).max(PREFETCH_WINDOW);
+        let fresh = |inner: &CacheInner, v: usize| {
+            v < n && !inner.map.contains_key(&v) && !inner.inflight.contains(&v)
+        };
+        let mut inner = self.lock();
+        let new = cols
+            .iter()
+            .map(|&c| c as usize)
+            .filter(|&v| fresh(&inner, v) && !inner.planned.contains(&v))
+            .count();
+        if inner.planned.len() + new > cap {
+            inner.planned.clear();
         }
-        let n = shared.backing.series_count();
-        let mut added = false;
-        let mut dropped = false;
-        {
-            let mut inner = shared.lock();
-            let actionable = |inner: &CacheInner, c: u32| {
-                let v = c as usize;
-                v < n && !inner.map.contains_key(&v) && !inner.inflight.contains(&v)
-            };
-            if inner.plan.len() >= shared.plan_cap {
-                if let Some(&head) = cols.iter().find(|&&c| actionable(&inner, c)) {
-                    // Rate limit: a restart is only allowed once the
-                    // worker has fetched a depth's worth of the current
-                    // plan — otherwise parallel lanes announcing
-                    // disjoint windows would clear each other's plan on
-                    // every call and readahead would degrade to churn.
-                    let served_enough = inner.stats.prefetch.issued
-                        >= inner.issued_at_restart + shared.depth as u64;
-                    if !inner.planned.contains(&head) && served_enough {
-                        inner.plan.clear();
-                        inner.planned.clear();
-                        inner.issued_at_restart = inner.stats.prefetch.issued;
-                        dropped = true;
-                    }
-                }
+        for &c in cols {
+            if inner.planned.len() >= cap {
+                break;
             }
-            for &c in cols {
-                if !actionable(&inner, c) || inner.planned.contains(&c) {
-                    continue;
-                }
-                if inner.plan.len() >= shared.plan_cap {
-                    dropped = true;
-                    break;
-                }
-                inner.plan.push_back(c);
-                inner.planned.insert(c);
-                added = true;
+            if fresh(&inner, c as usize) {
+                inner.planned.insert(c as usize);
             }
-            if dropped {
-                inner.stats.prefetch.queue_full += 1;
-            }
-        }
-        if added {
-            shared.work.notify_all();
         }
     }
 }
@@ -575,6 +486,15 @@ mod tests {
         MatrixStore::create(&path, &data).unwrap();
         let cached = CachedStore::new(MatrixStore::open(&path).unwrap(), 3);
         (data, cached, path)
+    }
+
+    fn assert_ledger<B: ColumnRead>(cached: &CachedStore<B>) {
+        let stats = cached.stats();
+        assert_eq!(
+            stats.prefetch.issued,
+            stats.prefetch.hits + stats.prefetch.wasted + cached.prefetched_unconsumed() as u64,
+            "{stats:?}"
+        );
     }
 
     #[test]
@@ -698,107 +618,152 @@ mod tests {
     #[test]
     fn prefetched_columns_become_hits() {
         let data = sensor_dataset(&SensorConfig::reduced(10, 32));
-        let cached = CachedStore::with_prefetch(data.clone(), 6, 4);
-        assert_eq!(cached.prefetch_depth(), 4);
+        let slow = SlowSource::new(data.clone(), Duration::ZERO);
+        let cached = CachedStore::new(slow, 6);
         let cols: Vec<u32> = (0..10).collect();
         cached.prefetch(&cols);
         let mut buf = Vec::new();
         for v in 0..10usize {
             assert_eq!(cached.read_into(v, &mut buf).unwrap(), data.series(v));
         }
-        cached.quiesce();
+        // Budget min(8, 6 / 2) = 3: the misses on 0, 3, 6 and 9 read
+        // spans of 3, 3, 3 and 1 columns — four requests for ten columns.
         let stats = cached.stats();
-        assert!(
-            stats.prefetch.issued > 0,
-            "worker must have fetched something: {stats:?}"
-        );
-        assert!(
-            stats.hits >= stats.prefetch.hits,
-            "prefetch hits are cache hits: {stats:?}"
-        );
-        // Everything fetched was either consumed, wasted, or is still
-        // resident — the stats identity.
-        assert_eq!(
-            stats.prefetch.issued,
-            stats.prefetch.hits + stats.prefetch.wasted + cached.prefetched_unconsumed() as u64,
-            "{stats:?}"
-        );
+        assert_eq!(cached.store().reads(), 4, "{stats:?}");
+        assert_eq!((stats.misses, stats.hits), (4, 6), "{stats:?}");
+        assert_eq!(stats.prefetch.issued, 6, "{stats:?}");
+        assert_eq!(stats.prefetch.hits, 6, "{stats:?}");
+        assert_ledger(&cached);
     }
 
     #[test]
-    fn prefetch_depth_is_clamped_below_capacity() {
-        let data = sensor_dataset(&SensorConfig::reduced(6, 16));
-        let cached = CachedStore::with_prefetch(data, 3, 100);
-        assert_eq!(cached.prefetch_depth(), 2, "clamped to capacity - 1");
-        let data = sensor_dataset(&SensorConfig::reduced(6, 16));
-        let cached = CachedStore::with_prefetch(data, 1, 5);
-        assert_eq!(cached.prefetch_depth(), 1, "never below 1 when enabled");
-        let data = sensor_dataset(&SensorConfig::reduced(6, 16));
-        let cached = CachedStore::with_prefetch(data, 8, 0);
-        assert_eq!(cached.prefetch_depth(), 0, "0 leaves prefetching off");
-    }
-
-    #[test]
-    fn prefetch_is_a_noop_without_a_worker() {
-        let (data, cached, path) = fixture("noop.afn", 6, 24);
-        cached.prefetch(&[0, 1, 2, 3]);
+    fn unannounced_misses_read_one_column() {
+        let data = sensor_dataset(&SensorConfig::reduced(10, 16));
+        let slow = SlowSource::new(data.clone(), Duration::ZERO);
+        let cached = CachedStore::new(slow, 8);
         let mut buf = Vec::new();
-        assert_eq!(cached.read_into(1, &mut buf).unwrap(), data.series(1));
-        let stats = cached.stats();
-        assert_eq!(stats.prefetch, PrefetchStats::default());
-        std::fs::remove_file(&path).ok();
+        for v in 0..10usize {
+            assert_eq!(cached.read_into(v, &mut buf).unwrap(), data.series(v));
+        }
+        assert_eq!(cached.store().reads(), 10);
+        assert_eq!(cached.stats().prefetch, PrefetchStats::default());
     }
 
     #[test]
-    fn announcements_beyond_the_queue_bound_are_counted() {
-        let data = sensor_dataset(&SensorConfig::reduced(40, 8));
-        // Delay keeps the worker busy so the queue actually fills.
-        let slow = SlowSource::new(data, Duration::from_millis(20));
-        let cached = CachedStore::with_prefetch(slow, 4, 2);
-        // The readahead queue holds `depth = 2` pending columns; a
-        // 40-column announcement must overflow it immediately.
-        let all: Vec<u32> = (0..40).collect();
-        cached.prefetch(&all);
+    fn spans_bridge_small_gaps_and_stop_at_cached_columns() {
+        let data = sensor_dataset(&SensorConfig::reduced(30, 8));
+        let slow = SlowSource::new(data.clone(), Duration::ZERO);
+        let cached = CachedStore::new(slow, 16);
+        let mut buf = Vec::new();
+        cached.read_into(5, &mut buf).unwrap();
+        // 1 and 4 are announced around a 2-column gap; 5 is cached.
+        cached.prefetch(&[1, 4, 5, 6]);
+        cached.read_into(0, &mut buf).unwrap();
+        let stats = cached.stats();
+        assert_eq!(stats.prefetch.issued, 4, "0..5 in one request: {stats:?}");
+        assert_eq!(cached.store().reads(), 2);
+        // 6 is still planned; a miss on it with nothing after reads it alone.
+        cached.read_into(6, &mut buf).unwrap();
+        assert_eq!(cached.stats().prefetch.issued, 4);
+        for v in 0..7 {
+            assert_eq!(cached.read_into(v, &mut buf).unwrap(), data.series(v));
+        }
+        assert_eq!(cached.store().reads(), 3, "1..=4 were read ahead");
+        assert_ledger(&cached);
+    }
+
+    #[test]
+    fn plan_overflow_keeps_the_nearest_announcement() {
+        let data = sensor_dataset(&SensorConfig::reduced(200, 4));
+        let slow = SlowSource::new(data, Duration::ZERO);
+        // Capacity 2: the plan holds max(16, PREFETCH_WINDOW) columns.
+        let cached = CachedStore::new(slow, 2);
+        let far: Vec<u32> = (100..164).collect();
+        cached.prefetch(&far);
+        let near: Vec<u32> = (0..10).collect();
+        cached.prefetch(&near);
+        let inner = cached.lock();
+        assert!(inner.planned.len() <= PREFETCH_WINDOW);
         assert!(
-            cached.stats().prefetch.queue_full > 0,
-            "a 40-column announcement must overflow a depth-2 queue: {:?}",
-            cached.stats()
+            (0..10).all(|v| inner.planned.contains(&v)),
+            "new window kept"
         );
+        assert!(!inner.planned.contains(&100), "stale window cleared");
     }
 
     #[test]
     fn wasted_prefetches_are_counted_under_thrash() {
         let data = sensor_dataset(&SensorConfig::reduced(12, 16));
-        let cached = CachedStore::with_prefetch(data.clone(), 3, 2);
+        let cached = CachedStore::new(data.clone(), 4);
         let mut buf = Vec::new();
-        // Announce one thing, read other things: the prefetched columns
-        // get evicted untouched by the consumer's own misses.
-        let mut stats = cached.stats();
-        for round in 0..50u32 {
-            let a = (round * 2) % 11;
-            cached.prefetch(&[a, a + 1]);
-            cached.quiesce();
-            for v in 0..12usize {
-                if v % 2 == 1 && v != a as usize && v != a as usize + 1 {
-                    cached.read_into(v, &mut buf).unwrap();
-                }
-            }
-            stats = cached.stats();
-            if stats.prefetch.wasted > 0 {
-                break;
-            }
+        // The miss on 0 reads 1 ahead (budget min(8, 4 / 2) = 2); the
+        // consumer then reads elsewhere until column 1 is evicted unread.
+        cached.prefetch(&[0, 1]);
+        assert_eq!(cached.read_into(0, &mut buf).unwrap(), data.series(0));
+        assert_eq!(cached.stats().prefetch.issued, 1);
+        for v in 4..12 {
+            cached.read_into(v, &mut buf).unwrap();
         }
-        assert!(
-            stats.prefetch.wasted > 0,
-            "thrashing an announced-but-unread column must waste: {stats:?}"
-        );
-        // The stats identity still holds under waste.
-        cached.quiesce();
         let stats = cached.stats();
         assert_eq!(
-            stats.prefetch.issued,
-            stats.prefetch.hits + stats.prefetch.wasted + cached.prefetched_unconsumed() as u64,
-            "{stats:?}"
+            stats.prefetch.wasted, 1,
+            "an evicted unread span column is waste: {stats:?}"
         );
+        assert_eq!(stats.prefetch.hits, 0);
+        assert_ledger(&cached);
+    }
+
+    #[test]
+    fn a_span_over_a_corrupt_column_serves_the_miss_and_skips_the_bad_column() {
+        let (data, _, path) = fixture("span-corrupt.afn", 8, 16);
+        let mut bytes = std::fs::read(&path).unwrap();
+        // Column 3's chunk starts this far before the end of the file.
+        let offset = bytes.len() - (8 - 3) * (16 * 8 + 4) + 11;
+        bytes[offset] ^= 0xFF;
+        std::fs::write(&path, &bytes).unwrap();
+        let store = MatrixStore::open(&path).unwrap();
+        let cached = CachedStore::new(SlowSource::new(store, Duration::from_millis(40)), 16);
+        cached.prefetch(&[1, 2, 3, 4, 5]);
+        std::thread::scope(|s| {
+            let read = |v: usize| {
+                let cached = &cached;
+                move || {
+                    let mut buf = Vec::new();
+                    cached.read_into(v, &mut buf).map(|col| col.to_vec())
+                }
+            };
+            // The span 1..=5 delivers 1 and 2, then fails on 3.
+            let span = s.spawn(read(1));
+            while !cached.lock().inflight.contains(&3) && !span.is_finished() {
+                std::thread::yield_now();
+            }
+            // Lanes that miss on span columns while the span is in
+            // flight wait for it, then read for themselves: the bad
+            // column reports its error, the one past it its data.
+            let bad = s.spawn(read(3));
+            let past = s.spawn(read(4));
+            assert_eq!(span.join().unwrap().unwrap(), data.series(1));
+            assert!(bad.join().unwrap().is_err());
+            assert_eq!(past.join().unwrap().unwrap(), data.series(4));
+        });
+        let stats = cached.stats();
+        assert_eq!(stats.prefetch.issued, 1, "only 2 was admitted: {stats:?}");
+        assert!(
+            !cached.lock().map.contains_key(&3),
+            "bad column not admitted"
+        );
+        let mut buf = Vec::new();
+        // Reading the bad column itself reports the checksum failure;
+        // the columns past it are served from their own reads.
+        assert!(matches!(
+            cached.read_into(3, &mut buf),
+            Err(SourceError::Backend(msg)) if msg.contains("series 3")
+        ));
+        for v in [2, 5] {
+            assert_eq!(cached.read_into(v, &mut buf).unwrap(), data.series(v));
+        }
+        assert!(cached.lock().inflight.is_empty());
+        assert_ledger(&cached);
+        std::fs::remove_file(&path).ok();
     }
 }

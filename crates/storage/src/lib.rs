@@ -41,13 +41,11 @@ pub mod crc;
 pub mod failpoint;
 pub mod journal;
 mod layout;
-pub mod prefetch;
 mod snapshot;
 mod store;
 
-pub use cache::{CacheStats, CachedStore};
+pub use cache::{CacheStats, CachedStore, PrefetchStats};
 pub use failpoint::{CommitFault, FailMode, FailpointWriter};
 pub use journal::{replay, JournalReplay, JournalWriter};
-pub use prefetch::PrefetchStats;
 pub use snapshot::{staged_path, PersistError, Snapshot, SnapshotWriter, SNAPSHOT_VERSION};
 pub use store::{MatrixStore, StorageError, FORMAT_VERSION};

@@ -247,17 +247,13 @@ impl MatrixStore {
         })
     }
 
-    /// Bytes of one on-disk column: `samples · 8` data + 4 CRC. The
-    /// open-time [`SizeCheck`] proved `series · (samples·8 + 4)` fits
-    /// the real file length, so this arithmetic cannot overflow.
-    fn chunk_bytes(&self) -> usize {
-        // afflint: allow(len-arith) -- samples·8+4 ≤ file_len proven by the open-time SizeCheck; sole place column geometry is computed
-        self.samples * 8 + 4
-    }
-
-    /// [`MatrixStore::chunk_bytes`] as `u64` for seek offsets.
+    /// Bytes of one on-disk column (`samples · 8` data + 4 CRC), as
+    /// `u64` for seek offsets. The open-time [`SizeCheck`] proved
+    /// `series · (samples·8 + 4)` fits the real file length, so this
+    /// arithmetic cannot overflow.
     fn chunk_bytes64(&self) -> u64 {
-        self.chunk_bytes() as u64
+        // afflint: allow(len-arith) -- samples·8+4 ≤ file_len proven by the open-time SizeCheck; sole place column geometry is computed
+        (self.samples * 8 + 4) as u64
     }
 
     /// Samples per series (`m`).
@@ -314,15 +310,30 @@ impl MatrixStore {
     /// # Errors
     /// See [`StorageError`].
     pub fn read_series_into(&self, v: usize, out: &mut Vec<f64>) -> Result<(), StorageError> {
-        if v >= self.series {
+        let mut f = self.open_at(v, 1)?;
+        self.read_chunk(&mut f, v, out)
+    }
+
+    /// Open the file positioned at column `first`, after checking that
+    /// the region `first .. first + count` (non-empty) is stored.
+    fn open_at(&self, first: usize, count: usize) -> Result<File, StorageError> {
+        if first >= self.series || count == 0 || count > self.series - first {
             return Err(StorageError::SeriesOutOfRange {
-                requested: v,
+                requested: first.saturating_add(count.max(1) - 1),
                 available: self.series,
             });
         }
-        let chunk = self.chunk_bytes64();
         let mut f = File::open(&self.path)?;
-        f.seek(SeekFrom::Start(self.columns_start + v as u64 * chunk))?;
+        f.seek(SeekFrom::Start(
+            self.columns_start + first as u64 * self.chunk_bytes64(),
+        ))?;
+        Ok(f)
+    }
+
+    /// Read the column chunk at `f`'s position (series `v`) into `out`,
+    /// verifying its checksum. Bytes are decoded through a fixed stack
+    /// scratch, so no chunk-sized byte buffer is ever allocated.
+    fn read_chunk(&self, f: &mut File, v: usize, out: &mut Vec<f64>) -> Result<(), StorageError> {
         out.clear();
         out.reserve(self.samples);
         let mut hasher = Crc32::new();
@@ -348,83 +359,6 @@ impl MatrixStore {
             out.clear(); // don't hand corrupt data back
             return Err(StorageError::ChecksumMismatch(format!("series {v}")));
         }
-        Ok(())
-    }
-
-    /// Read the contiguous column region `first .. first + count` with
-    /// **one read request**, verifying each column's checksum; `out` is
-    /// cleared and refilled with the `count · samples` values, column
-    /// after column (column `first + c` occupies
-    /// `out[c·samples .. (c+1)·samples]`).
-    ///
-    /// Column chunks are fixed-size and adjacent on disk, so the whole
-    /// region is one seek plus one `read_exact` into a reusable
-    /// thread-local byte buffer — on seek-dominated media a `count`-column
-    /// region costs about the same as a single column. This is the bulk
-    /// primitive behind the cache prefetcher's readahead batches and the
-    /// out-of-core warm-start path.
-    ///
-    /// ```
-    /// use affinity_data::generator::{sensor_dataset, SensorConfig};
-    /// use affinity_storage::MatrixStore;
-    ///
-    /// let path = std::env::temp_dir().join("affinity-range-doc.afn");
-    /// let data = sensor_dataset(&SensorConfig::reduced(6, 16));
-    /// MatrixStore::create(&path, &data).unwrap();
-    /// let store = MatrixStore::open(&path).unwrap();
-    /// let mut buf = Vec::new();
-    /// store.read_series_range(2, 3, &mut buf).unwrap();
-    /// assert_eq!(&buf[..16], data.series(2));
-    /// assert_eq!(&buf[32..], data.series(4));
-    /// # std::fs::remove_file(&path).ok();
-    /// ```
-    ///
-    /// # Errors
-    /// [`StorageError::SeriesOutOfRange`] if the region exceeds the
-    /// stored series (or `count` is zero); I/O and checksum errors as
-    /// for [`MatrixStore::read_series_into`]. On a checksum mismatch
-    /// `out` is cleared — no partially verified data is handed back.
-    pub fn read_series_range(
-        &self,
-        first: usize,
-        count: usize,
-        out: &mut Vec<f64>,
-    ) -> Result<(), StorageError> {
-        let end = first
-            .checked_add(count)
-            .filter(|&e| e <= self.series && count > 0)
-            .ok_or(StorageError::SeriesOutOfRange {
-                requested: first.saturating_add(count.max(1)) - 1,
-                available: self.series,
-            })?;
-        let chunk = self.chunk_bytes();
-        let mut f = File::open(&self.path)?;
-        f.seek(SeekFrom::Start(self.columns_start + (first * chunk) as u64))?;
-        RANGE_SCRATCH.with(|cell| {
-            let bytes = &mut *cell.borrow_mut();
-            bytes.clear();
-            // afflint: allow(len-arith) -- count ≤ series and chunk·series ≤ file_len were proven by the open-time SizeCheck
-            bytes.resize(chunk * count, 0);
-            f.read_exact(bytes)?;
-            out.clear();
-            // afflint: allow(len-arith) -- samples·count bounded by the open-time SizeCheck; a lying header cannot reach here
-            out.reserve(self.samples * count);
-            for (c, chunk_bytes) in bytes.chunks_exact(chunk).enumerate() {
-                // afflint: allow(len-arith) -- split point samples·8 = chunk−4 ≤ chunk_bytes.len() by the chunks_exact width
-                let (col, crcb) = chunk_bytes.split_at(self.samples * 8);
-                if Some(crc32(col)) != le_u32(crcb, 0) {
-                    out.clear(); // don't hand corrupt data back
-                    return Err(StorageError::ChecksumMismatch(format!(
-                        "series {}",
-                        first + c
-                    )));
-                }
-                out.extend(col.chunks_exact(8).map(le_f64));
-            }
-            Ok(())
-        })?;
-        // afflint: allow(panic, len-arith) -- debug-only postcondition over dims the open-time SizeCheck already validated
-        debug_assert_eq!(out.len(), self.samples * (end - first));
         Ok(())
     }
 
@@ -475,18 +409,9 @@ impl SeriesSource for MatrixStore {
     }
 }
 
-thread_local! {
-    /// Reusable scratch for [`MatrixStore::read_series_range`]'s raw
-    /// region bytes (one per thread: the prefetch worker reuses it for
-    /// every readahead batch) and for the decoded columns of the
-    /// [`ColumnRead::read_column_range`] bulk path.
-    static RANGE_SCRATCH: std::cell::RefCell<Vec<u8>> = const { std::cell::RefCell::new(Vec::new()) };
-    static RANGE_COLUMNS: std::cell::RefCell<Vec<f64>> = const { std::cell::RefCell::new(Vec::new()) };
-}
-
 /// The owned-buffer backing contract cache layers consume: single reads
-/// delegate to [`MatrixStore::read_series_into`], region reads to the
-/// one-request [`MatrixStore::read_series_range`].
+/// delegate to [`MatrixStore::read_series_into`]; region reads open and
+/// seek once, then verify and hand over one column at a time.
 impl ColumnRead for MatrixStore {
     fn samples(&self) -> usize {
         self.samples
@@ -501,20 +426,25 @@ impl ColumnRead for MatrixStore {
         Ok(())
     }
 
+    /// Column chunks are fixed-size and adjacent on disk, so the region
+    /// is one `open` + `seek` followed by sequential reads — on
+    /// seek-dominated media about the cost of a single column. Only
+    /// verified columns reach `sink`: a checksum mismatch stops the
+    /// read at that column. An empty or out-of-range region is
+    /// [`SourceError::OutOfRange`].
     fn read_column_range(
         &self,
         first: usize,
         count: usize,
         sink: &mut dyn FnMut(usize, &[f64]),
     ) -> Result<(), SourceError> {
-        RANGE_COLUMNS.with(|cell| {
-            let cols = &mut *cell.borrow_mut();
-            self.read_series_range(first, count, cols)?;
-            for (c, col) in cols.chunks_exact(self.samples).enumerate() {
-                sink(first + c, col);
-            }
-            Ok(())
-        })
+        let mut f = self.open_at(first, count)?;
+        let mut col = Vec::new();
+        for v in (first..).take(count) {
+            self.read_chunk(&mut f, v, &mut col)?;
+            sink(v, &col);
+        }
+        Ok(())
     }
 }
 
@@ -728,38 +658,44 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// Every column `read_column_range` hands to its sink, in order.
+    fn range(store: &MatrixStore, first: usize, count: usize) -> (Vec<(usize, Vec<f64>)>, bool) {
+        let mut seen = Vec::new();
+        let ok = ColumnRead::read_column_range(store, first, count, &mut |v, col| {
+            seen.push((v, col.to_vec()));
+        })
+        .is_ok();
+        (seen, ok)
+    }
+
     #[test]
     fn range_read_matches_single_reads() {
         let data = sensor_dataset(&SensorConfig::reduced(7, 30));
         let path = tmp("range.afn");
         MatrixStore::create(&path, &data).unwrap();
         let store = MatrixStore::open(&path).unwrap();
-        let mut buf = Vec::new();
         // Every valid (first, count) region.
         for first in 0..7 {
             for count in 1..=7 - first {
-                store.read_series_range(first, count, &mut buf).unwrap();
-                assert_eq!(buf.len(), count * 30);
-                for c in 0..count {
-                    assert_eq!(
-                        &buf[c * 30..(c + 1) * 30],
-                        data.series(first + c),
-                        "region ({first}, {count}) column {c}"
-                    );
+                let (seen, ok) = range(&store, first, count);
+                assert!(ok, "region ({first}, {count})");
+                assert_eq!(seen.len(), count);
+                for (c, (v, col)) in seen.iter().enumerate() {
+                    assert_eq!(*v, first + c);
+                    assert_eq!(col, data.series(first + c), "region ({first}, {count})");
                 }
             }
         }
-        // Out-of-range and empty regions are errors, not panics.
-        for (first, count) in [(0, 8), (6, 2), (7, 1), (3, 0)] {
+        // Out-of-range and empty regions are errors, not panics, and
+        // reach no sink.
+        for (first, count) in [(0, 8), (6, 2), (7, 1), (3, 0), (usize::MAX, 2)] {
+            let mut sunk = 0;
             assert!(matches!(
-                store.read_series_range(first, count, &mut buf),
-                Err(StorageError::SeriesOutOfRange { .. })
+                ColumnRead::read_column_range(&store, first, count, &mut |_, _| sunk += 1),
+                Err(SourceError::OutOfRange { .. })
             ));
+            assert_eq!(sunk, 0);
         }
-        assert!(matches!(
-            store.read_series_range(usize::MAX, 2, &mut buf),
-            Err(StorageError::SeriesOutOfRange { .. })
-        ));
         std::fs::remove_file(&path).ok();
     }
 
@@ -773,15 +709,18 @@ mod tests {
         let offset = store.columns_start as usize + 3 * (16 * 8 + 4) + 5;
         bytes[offset] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
-        let mut buf = Vec::new();
         // Region before the corruption is fine.
-        store.read_series_range(0, 3, &mut buf).unwrap();
-        // Region covering column 3 fails and hands nothing back.
-        assert!(matches!(
-            store.read_series_range(2, 3, &mut buf),
-            Err(StorageError::ChecksumMismatch(_))
-        ));
-        assert!(buf.is_empty(), "no partially verified data");
+        assert!(range(&store, 0, 3).1);
+        // Region covering column 3 fails there: the columns before it
+        // reach the sink, the corrupt one and those after it do not.
+        let mut seen = Vec::new();
+        let err = ColumnRead::read_column_range(&store, 1, 4, &mut |v, col| {
+            seen.push((v, col.to_vec()));
+        })
+        .unwrap_err();
+        assert!(err.to_string().contains("series 3"), "{err}");
+        let expected: Vec<_> = [1, 2].map(|v| (v, data.series(v).to_vec())).into();
+        assert_eq!(seen, expected, "no partially verified data");
         std::fs::remove_file(&path).ok();
     }
 

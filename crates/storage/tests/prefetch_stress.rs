@@ -1,21 +1,22 @@
-//! Randomized concurrency stress for the [`CachedStore`] prefetcher:
-//! consumer reads, pins/unpins, and prefetch announcements race each
-//! other (and the background worker) across threads over a
-//! latency-injecting backing, asserting the three invariants the
-//! design promises:
+//! Randomized concurrency stress for [`CachedStore`]'s miss-path
+//! readahead: consumer reads (whose misses read announced spans),
+//! pins/unpins, and prefetch announcements race each other across
+//! threads over a latency-injecting backing, asserting the three
+//! invariants the design promises:
 //!
 //! 1. **No pinned-column eviction** — once a pin has loaded a column,
 //!    the backing store sees no further read of it until the unpin
 //!    (observed through the [`SlowSource`] per-column read counters,
 //!    which are race-free observables, unlike the global hit/miss
 //!    counters other lanes mutate concurrently).
-//! 2. **No double decode** — two readers (consumer lanes or the
-//!    worker) never fetch the same column from the backing at the same
-//!    time; the in-flight registry makes the second one wait. Observed
-//!    by the [`SlowSource`] same-column overlap detector.
+//! 2. **No double decode** — two readers (a pin, a single-column miss
+//!    or another lane's span) never fetch the same column from the
+//!    backing at the same time; the in-flight registry makes the
+//!    second one wait. Observed by the [`SlowSource`] same-column
+//!    overlap detector.
 //! 3. **Stats consistency** — every fetch is byte-correct and
-//!    classified, and once quiesced the prefetcher's ledger balances:
-//!    `issued == hits + wasted + still-resident-unconsumed`.
+//!    classified, and once the lanes have joined the readahead ledger
+//!    balances: `issued == hits + wasted + still-resident-unconsumed`.
 
 use affinity_data::generator::{sensor_dataset, SensorConfig};
 use affinity_data::slow::SlowSource;
@@ -62,8 +63,8 @@ fn run_races(cached: &StressCache, data: &DataMatrix, n: usize, reads: &AtomicU6
             }
         });
         // Lanes 1..4: random reads + ascending announcements (the shape
-        // the kernels announce) + transient pins, all racing the worker
-        // and each other.
+        // the kernels announce) + transient pins, all racing each
+        // other's spans.
         for lane in 1..4u64 {
             s.spawn(move || {
                 let mut buf = Vec::new();
@@ -99,8 +100,8 @@ fn run_races(cached: &StressCache, data: &DataMatrix, n: usize, reads: &AtomicU6
     });
 }
 
+/// Called once every lane has joined: nothing is in flight.
 fn check_ledger(cached: &StressCache, reads: &AtomicU64) {
-    cached.quiesce();
     let stats = cached.stats();
     // Every read_into was classified hit-or-miss exactly once; pins
     // that had to load also count one miss each, hence `>=`.
@@ -108,7 +109,7 @@ fn check_ledger(cached: &StressCache, reads: &AtomicU64) {
         stats.hits + stats.misses >= reads.load(Ordering::Relaxed),
         "fetch classification lost reads: {stats:?}"
     );
-    // The prefetcher's ledger balances after quiescing.
+    // The readahead ledger balances.
     assert_eq!(
         stats.prefetch.issued,
         stats.prefetch.hits + stats.prefetch.wasted + cached.prefetched_unconsumed() as u64,
@@ -122,33 +123,33 @@ fn check_ledger(cached: &StressCache, reads: &AtomicU64) {
 }
 
 /// Latency regime: a 50 µs per-request delay widens every race window
-/// (a fetch is slow relative to the bookkeeping), so the worker is
-/// usually mid-fetch when consumers arrive.
+/// (a fetch is slow relative to the bookkeeping), so a lane's span is
+/// usually mid-read when other lanes arrive.
 #[test]
 fn randomized_prefetch_races_with_latency() {
     let n = 24;
     let data = sensor_dataset(&SensorConfig::reduced(n, 64));
     let slow = SlowSource::new(data.clone(), Duration::from_micros(50));
-    let cached = CachedStore::with_prefetch(slow, 5, 3);
+    let cached = CachedStore::new(slow, 5);
     let reads = AtomicU64::new(0);
     run_races(&cached, &data, n, &reads);
     check_ledger(&cached, &reads);
     let stats = cached.stats();
     assert!(
         stats.prefetch.issued > 0,
-        "announcements must have driven the worker: {stats:?}"
+        "announcements must have driven spans: {stats:?}"
     );
 }
 
-/// Zero-delay regime: consumers always outrun the worker, exercising
-/// the opposite interleavings (stale plan entries, worker skipping
-/// columns consumers already fetched).
+/// Zero-delay regime: reads finish before the bookkeeping races widen,
+/// exercising the opposite interleavings (stale plan entries, spans
+/// cut short by columns other lanes just admitted or claimed).
 #[test]
 fn randomized_prefetch_races_without_latency() {
     let n = 24;
     let data = sensor_dataset(&SensorConfig::reduced(n, 64));
     let slow = SlowSource::new(data.clone(), Duration::ZERO);
-    let cached = CachedStore::with_prefetch(slow, 5, 3);
+    let cached = CachedStore::new(slow, 5);
     let reads = AtomicU64::new(0);
     run_races(&cached, &data, n, &reads);
     check_ledger(&cached, &reads);
@@ -156,14 +157,14 @@ fn randomized_prefetch_races_without_latency() {
 
 /// The pinned-residency invariant under direct adversarial pressure:
 /// the main thread holds two pins while a second thread announces the
-/// whole store and reads randomly, forcing constant prefetch and
-/// eviction traffic through the remaining slots.
+/// whole store and reads randomly, forcing constant span reads and
+/// eviction traffic through the remaining four slots.
 #[test]
 fn pins_always_survive_prefetch_pressure() {
     let n = 20;
     let data = sensor_dataset(&SensorConfig::reduced(n, 48));
     let slow = SlowSource::new(data.clone(), Duration::from_micros(20));
-    let cached = CachedStore::with_prefetch(slow, 4, 3);
+    let cached = CachedStore::new(slow, 6);
     let mut buf = Vec::new();
     cached.pin(3);
     cached.pin(7);
@@ -196,8 +197,8 @@ fn pins_always_survive_prefetch_pressure() {
     cached.unpin(3);
     cached.unpin(7);
     assert!(!cached.store().same_column_overlap());
-    cached.quiesce();
     let stats = cached.stats();
+    assert!(stats.prefetch.issued > 0, "{stats:?}");
     assert_eq!(
         stats.prefetch.issued,
         stats.prefetch.hits + stats.prefetch.wasted + cached.prefetched_unconsumed() as u64,

@@ -90,8 +90,8 @@ impl SlidingWindow {
         let mut w = SlidingWindow::new(n, width);
         let mut buf = Vec::new();
         // One strictly sequential sweep over every column — announce it
-        // a sliding window ahead so a prefetching cache batches the
-        // contiguous trailing region while this loop copies.
+        // a sliding window ahead so a caching source reads the
+        // contiguous trailing region in few requests.
         let scan = affinity_data::source::scan_sequence(n);
         for v in 0..n {
             affinity_data::source::prefetch_window(source, &scan, v);

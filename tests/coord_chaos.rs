@@ -423,6 +423,12 @@ fn coordinator_matches_monolithic_server_over_sockets() {
         }
         let mut admin = coord.connect();
         assert_coord_ledger_balances(&coord_stats(&mut admin));
+        // Respawn holds are fault injection: refused without `--chaos`.
+        admin.send(".respawn hold");
+        assert_eq!(
+            admin.read_response(),
+            Response::Control("-err fault injection disabled".into())
+        );
         drop(admin);
         drop(client);
         let done = coord.shutdown();
@@ -442,7 +448,7 @@ fn coordinator_matches_monolithic_server_over_sockets() {
 #[test]
 fn kill9_failover_heals_to_bit_identical_answers() {
     let dir = temp_dir("kill9");
-    let coord = CoordProc::spawn(2, &["--persist-root", dir.to_str().unwrap()]);
+    let coord = CoordProc::spawn(2, &["--chaos", "--persist-root", dir.to_str().unwrap()]);
     let mut client = coord.connect();
     client.control(".tick 20");
 
@@ -455,6 +461,9 @@ fn kill9_failover_heals_to_bit_identical_answers() {
         );
     }
 
+    // Keep the dead shard down while the two probes run: a respawn and
+    // heal inside the client's retry budget would answer them in full.
+    client.control(".respawn hold");
     coord.kill9_shard(0);
 
     // Cross-shard matrix with a hole is wrong, not partial: typed
@@ -476,6 +485,7 @@ fn kill9_failover_heals_to_bit_identical_answers() {
         },
         other => panic!("query against dead shard answered {other:?}"),
     }
+    client.control(".respawn release");
 
     coord.wait_for_event("respawn shard=0", Duration::from_secs(120));
     coord.wait_for_event("heal shard=0", Duration::from_secs(120));
